@@ -16,7 +16,8 @@
 //!
 //! with matching transaction ids end to end, and the rotating windowed
 //! metrics must carry non-empty lock-wait/commit percentiles plus a
-//! non-zero deadlock rate.
+//! non-zero deadlock rate. No lock wait may end in a timeout: deadlock
+//! detection breaks every cycle when it forms.
 //!
 //! The replay has two phases:
 //!
@@ -288,6 +289,7 @@ fn main() {
     put("rendezvous retries", rendezvous_retries.to_string());
     put("lock waits", locks.waits.to_string());
     put("deadlock aborts", locks.deadlock_aborts.to_string());
+    put("timeout aborts", locks.timeout_aborts.to_string());
     put("spans recorded", w.recorded.to_string());
     put("spans retained", dump.events.len().to_string());
     put("spans dropped", w.dropped.to_string());
@@ -352,6 +354,12 @@ fn main() {
     assert!(
         locks.deadlock_aborts >= 1,
         "LockStats must agree at least one deadlock abort happened"
+    );
+    // Deadlock detection breaks every cycle when it forms, so no wait may
+    // run into the lock-timeout backstop.
+    assert_eq!(
+        locks.timeout_aborts, 0,
+        "lock timeouts while deadlock detection is live: a cycle went unbroken"
     );
     let a = anomaly.expect("deadlocks/s threshold crossing must fire the anomaly trigger");
     assert!(a.reason.contains("deadlocks/s"), "{}", a.reason);

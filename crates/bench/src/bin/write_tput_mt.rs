@@ -17,11 +17,12 @@
 //!   conflict, so the lock table adds pure overhead and the commit
 //!   channel is the only shared path;
 //! * contended — every writer draws its keys from one small universe in
-//!   random order, so waits, FIFO hand-offs, and deadlock-victim aborts
-//!   (retried by the harness) all occur.
+//!   random order, so waits, FIFO hand-offs, and deadlock aborts (retried
+//!   by the harness) all occur.
 //!
 //! Deterministic accounting gates run on any host (a lone writer under
-//! Force drains alone: exactly 1.0 syncs/txn). Concurrency-dependent
+//! Force drains alone: exactly 1.0 syncs/txn; no contended cell ever hits
+//! the lock timeout, because deadlock detection breaks every cycle). Concurrency-dependent
 //! gates (syncs/txn falling with writers, throughput ratios) follow the
 //! E8 convention: single-core hosts print SKIP, multi-core hosts enforce.
 //!
@@ -66,6 +67,7 @@ struct Run {
     retries: u64,
     waits: u64,
     deadlock_aborts: u64,
+    timeout_aborts: u64,
 }
 
 impl Run {
@@ -129,7 +131,7 @@ fn value(writer: usize, txn: u32, k: u32) -> [u8; VALUE_LEN] {
 }
 
 /// One transaction: PUTS_PER_TXN puts, then a group-channel commit.
-/// Lock failures (deadlock victim, timeout) abort and retry the whole
+/// Lock failures (deadlock, timeout) abort and retry the whole
 /// transaction — the standard client protocol for a blocking S/X lock
 /// manager. Returns the number of aborted attempts.
 fn run_txn(w: &DbWriter, mode: KeyMode, writer: usize, txn: u32, rng: &mut u64) -> u64 {
@@ -140,7 +142,7 @@ fn run_txn(w: &DbWriter, mode: KeyMode, writer: usize, txn: u32, rng: &mut u64) 
         for k in 0..PUTS_PER_TXN {
             let key = key(mode, writer, txn, k, rng);
             if let Err(e) = w.put(handle, &key, &value(writer, txn, k)) {
-                // Deadlock victim or timeout: abort, count, retry.
+                // Deadlock or timeout: abort, count, retry.
                 assert!(
                     mode == KeyMode::Contended,
                     "disjoint keys must never conflict: {e}"
@@ -212,9 +214,9 @@ fn run(mode: KeyMode, policy_label: &'static str, policy: CommitPolicy, writers:
         assert_eq!(db.len().expect("len"), expected, "all disjoint keys landed");
     }
     let stats = db.stats().expect("stats");
-    let (waits, deadlock_aborts) = match &stats.locks {
-        Some(l) => (l.waits, l.deadlock_aborts),
-        None => (0, 0),
+    let (waits, deadlock_aborts, timeout_aborts) = match &stats.locks {
+        Some(l) => (l.waits, l.deadlock_aborts, l.timeout_aborts),
+        None => (0, 0, 0),
     };
 
     drop(db);
@@ -231,6 +233,7 @@ fn run(mode: KeyMode, policy_label: &'static str, policy: CommitPolicy, writers:
         retries,
         waits,
         deadlock_aborts,
+        timeout_aborts,
     }
 }
 
@@ -254,6 +257,7 @@ fn main() {
         "syncs/txn",
         "retries",
         "lock waits",
+        "timeout_aborts",
     ]);
     let mut runs: Vec<Run> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
@@ -264,7 +268,7 @@ fn main() {
                 let r = run(mode, policy_label, policy, writers);
                 println!(
                     "  {:9} {:12} {writers}W: {:>8.0} txns/s  {:.4} syncs/txn  \
-                     {} retries  {} waits ({} deadlock aborts)",
+                     {} retries  {} waits ({} deadlock aborts, {} timeout_aborts)",
                     r.mode.label(),
                     r.policy,
                     r.txns_per_s(),
@@ -272,6 +276,7 @@ fn main() {
                     r.retries,
                     r.waits,
                     r.deadlock_aborts,
+                    r.timeout_aborts,
                 );
                 table.row([
                     r.mode.label().to_string(),
@@ -282,6 +287,7 @@ fn main() {
                     format!("{:.4}", r.syncs_per_txn()),
                     r.retries.to_string(),
                     r.waits.to_string(),
+                    r.timeout_aborts.to_string(),
                 ]);
                 runs.push(r);
             }
@@ -321,9 +327,16 @@ fn main() {
         assert_eq!(r.retries, 0, "disjoint keys produced lock retries");
         assert_eq!(r.deadlock_aborts, 0, "disjoint keys produced deadlocks");
     }
-    // Contended retries stay bounded: deadlock detection aborts one victim
-    // per cycle, it does not livelock the workload.
+    // Contended retries stay bounded: deadlock detection aborts one
+    // requester per cycle, it does not livelock the workload. No wait ever
+    // runs into the lock timeout: with detection live, a timeout means a
+    // cycle went unbroken.
     for r in runs.iter().filter(|r| r.mode == KeyMode::Contended) {
+        assert_eq!(
+            r.timeout_aborts, 0,
+            "{}W contended {}: {} lock timeouts — a deadlock cycle went undetected",
+            r.writers, r.policy, r.timeout_aborts
+        );
         assert!(
             r.retries <= u64::from(r.txns) * 2,
             "{}W contended: {} retries for {} txns — lock manager is thrashing",

@@ -239,8 +239,9 @@ impl Deref for CorePeek<'_> {
 
 /// Which transaction manager the product composed (*Transaction →
 /// Concurrency*): none at runtime, the single-writer manager owned inline
-/// (the seed path), or the shareable blocking-lock + group-commit manager
-/// of MultiWriter products.
+/// with its no-wait key locks (the seed path), or the shareable
+/// blocking-lock + group-commit manager of MultiWriter products. Each
+/// product runs exactly one lock manager, and every key is locked once.
 ///
 /// One instance per `Database`; see [`StorageCell`] for why `Own` stays
 /// unboxed.
@@ -249,8 +250,8 @@ impl Deref for CorePeek<'_> {
 enum TxnSlot {
     /// Transactions not configured at runtime.
     None,
-    /// Single-writer manager owned inline.
-    Own(fame_txn::TxnManager),
+    /// Single-writer manager owned inline, with its no-wait key locks.
+    Own(fame_txn::TxnManager, fame_txn::LockManager),
     /// Block-lock table + cross-writer group commit, shared with
     /// [`DbWriter`] handles.
     #[cfg(feature = "concurrency-multi-writer")]
@@ -281,12 +282,12 @@ impl TxnSlot {
     /// through [`SharedTxnManager::with_inner`] instead.
     fn own_mut(&mut self) -> &mut fame_txn::TxnManager {
         match self {
-            TxnSlot::Own(m) => m,
+            TxnSlot::Own(m, _) => m,
             _ => panic!("transactions not configured (caller must check)"),
         }
     }
 
-    fn begin(&mut self) -> std::result::Result<fame_txn::TxnId, fame_txn::TxnError> {
+    fn begin(&mut self) -> TxnResult<fame_txn::TxnId> {
         match self {
             #[cfg(feature = "concurrency-multi-writer")]
             TxnSlot::Shared(s) => s.begin(),
@@ -294,108 +295,58 @@ impl TxnSlot {
         }
     }
 
-    /// Take the read lock for `key` (blocking block lock in MultiWriter
-    /// products, the no-wait key lock otherwise).
-    fn lock_read(
+    /// Lock `key` for `txn`: the blocking block lock in MultiWriter
+    /// products, the no-wait key lock otherwise (a conflict fails at once
+    /// with [`fame_txn::TxnError::Conflict`]). Writers lock *before*
+    /// reading the old value: the lock is what makes the read-log-apply
+    /// sequence atomic.
+    fn lock(
         &mut self,
         txn: fame_txn::TxnId,
         key: &[u8],
-    ) -> std::result::Result<(), fame_txn::TxnError> {
+        mode: fame_txn::LockMode,
+    ) -> TxnResult<()> {
         match self {
+            TxnSlot::None => panic!("transactions not configured (caller must check)"),
+            TxnSlot::Own(m, locks) => {
+                m.check_active(txn)?;
+                Ok(locks.acquire(txn, key, mode)?)
+            }
             #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.lock_read(txn, key),
-            _ => self.own_mut().lock_read(txn, key),
+            TxnSlot::Shared(s) => match mode {
+                fame_txn::LockMode::Shared => s.lock_read(txn, key),
+                fame_txn::LockMode::Exclusive => s.lock_write(txn, key),
+            },
         }
     }
 
-    /// Take the exclusive block lock for `key` *before* reading the old
-    /// value. A no-op in single-writer products, whose no-wait lock is
-    /// taken inside `log_*`.
-    fn lock_write(
-        &mut self,
-        txn: fame_txn::TxnId,
-        key: &[u8],
-    ) -> std::result::Result<(), fame_txn::TxnError> {
+    /// Run `f` on the manager (the shared one under its mutex): WAL
+    /// appends — before the storage apply, with every key already locked
+    /// — and the recovery seal.
+    fn manager<R>(&mut self, f: impl FnOnce(&mut fame_txn::TxnManager) -> R) -> R {
         match self {
             #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.lock_write(txn, key),
+            TxnSlot::Shared(s) => s.with_inner(f),
+            _ => f(self.own_mut()),
+        }
+    }
+
+    /// Commit, releasing the locks on success; on failure the transaction
+    /// stays active with its locks held. In MultiWriter products this
+    /// rides the cross-transaction group-commit channel.
+    fn commit(&mut self, txn: fame_txn::TxnId) -> TxnResult<()> {
+        match self {
+            #[cfg(feature = "concurrency-multi-writer")]
+            TxnSlot::Shared(s) => s.commit(txn),
             _ => {
-                let _ = (txn, key);
+                self.own_mut().commit(txn)?;
+                self.release_locks(txn);
                 Ok(())
             }
         }
     }
 
-    fn log_put(
-        &mut self,
-        txn: fame_txn::TxnId,
-        index: u8,
-        key: &[u8],
-        old: Option<Vec<u8>>,
-        new: &[u8],
-    ) -> std::result::Result<fame_txn::Lsn, fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.log_put(txn, index, key, old, new),
-            _ => self.own_mut().log_put(txn, index, key, old, new),
-        }
-    }
-
-    fn log_remove(
-        &mut self,
-        txn: fame_txn::TxnId,
-        index: u8,
-        key: &[u8],
-        old: Vec<u8>,
-    ) -> std::result::Result<fame_txn::Lsn, fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.log_remove(txn, index, key, old),
-            _ => self.own_mut().log_remove(txn, index, key, old),
-        }
-    }
-
-    #[cfg(feature = "api-batch")]
-    fn log_batch(
-        &mut self,
-        txn: fame_txn::TxnId,
-        ops: &[fame_txn::BatchWrite],
-    ) -> std::result::Result<fame_txn::Lsn, fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.log_batch(txn, ops),
-            _ => self.own_mut().log_batch(txn, ops),
-        }
-    }
-
-    /// Commit; in MultiWriter products this rides the cross-transaction
-    /// group-commit channel and releases the block locks on success.
-    fn commit(&mut self, txn: fame_txn::TxnId) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.commit(txn),
-            _ => self.own_mut().commit(txn),
-        }
-    }
-
-    #[cfg(feature = "api-batch")]
-    fn commit_batch(
-        &mut self,
-        txn: fame_txn::TxnId,
-    ) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            // A group-commit drain already counts as one commit toward the
-            // Group quota, which is exactly the batch accounting.
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.commit(txn),
-            _ => self.own_mut().commit_batch(txn),
-        }
-    }
-
-    fn abort(
-        &mut self,
-        txn: fame_txn::TxnId,
-    ) -> std::result::Result<Vec<fame_txn::UndoAction>, fame_txn::TxnError> {
+    fn abort(&mut self, txn: fame_txn::TxnId) -> TxnResult<Vec<fame_txn::UndoAction>> {
         match self {
             #[cfg(feature = "concurrency-multi-writer")]
             TxnSlot::Shared(s) => s.abort(txn),
@@ -403,74 +354,33 @@ impl TxnSlot {
         }
     }
 
-    /// Drop `txn`'s block locks *after* its undo has been applied to
-    /// storage. No-op in single-writer products (their no-wait locks were
-    /// released inside `abort`).
+    /// Drop `txn`'s locks *after* its undo has been applied to storage.
     fn release_locks(&mut self, txn: fame_txn::TxnId) {
         match self {
+            TxnSlot::None => {}
+            TxnSlot::Own(_, locks) => locks.release_all(txn),
             #[cfg(feature = "concurrency-multi-writer")]
             TxnSlot::Shared(s) => s.release_locks(txn),
-            _ => {
-                let _ = txn;
-            }
         }
     }
 
-    fn flush(&mut self) -> std::result::Result<(), fame_txn::TxnError> {
+    fn flush(&mut self) -> TxnResult<()> {
         match self {
             TxnSlot::None => Ok(()),
-            TxnSlot::Own(m) => m.flush(),
+            TxnSlot::Own(m, _) => m.flush(),
             #[cfg(feature = "concurrency-multi-writer")]
             TxnSlot::Shared(s) => s.flush(),
         }
     }
 
-    fn seal_recovery(
-        &mut self,
-        losers: &[fame_txn::TxnId],
-    ) -> std::result::Result<(), fame_txn::TxnError> {
-        match self {
-            TxnSlot::None => Ok(()),
-            TxnSlot::Own(m) => m.seal_recovery(losers),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => s.with_inner(|m| m.seal_recovery(losers)),
-        }
-    }
-
-    fn stats(&self) -> Option<(u64, u64)> {
+    /// Read from the transaction manager (the shared one under its
+    /// mutex); `None` when transactions are not configured.
+    fn read<R>(&self, f: impl FnOnce(&fame_txn::TxnManager) -> R) -> Option<R> {
         match self {
             TxnSlot::None => None,
-            TxnSlot::Own(m) => Some(m.stats()),
+            TxnSlot::Own(m, _) => Some(f(m)),
             #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => Some(s.stats()),
-        }
-    }
-
-    fn log_syncs(&self) -> Option<u64> {
-        match self {
-            TxnSlot::None => None,
-            TxnSlot::Own(m) => Some(m.log_syncs()),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => Some(s.log_syncs()),
-        }
-    }
-
-    fn log_bytes(&self) -> Option<u64> {
-        match self {
-            TxnSlot::None => None,
-            TxnSlot::Own(m) => Some(m.log_bytes()),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => Some(s.log_bytes()),
-        }
-    }
-
-    #[cfg(feature = "statistics")]
-    fn commit_latency(&self) -> Option<fame_obs::HistogramSnapshot> {
-        match self {
-            TxnSlot::None => None,
-            TxnSlot::Own(m) => Some(m.obs().commit_latency.snapshot()),
-            #[cfg(feature = "concurrency-multi-writer")]
-            TxnSlot::Shared(s) => Some(s.with_inner(|m| m.obs().commit_latency.snapshot())),
+            TxnSlot::Shared(s) => Some(s.with_inner(|m| f(m))),
         }
     }
 
@@ -546,6 +456,10 @@ struct BatchObs {
 
 #[cfg(feature = "transactions")]
 type ShipOpBuf = (Vec<u8>, Option<Vec<u8>>); // (key, Some(value)=put / None=remove)
+
+/// What the transaction slot's operations return.
+#[cfg(feature = "transactions")]
+type TxnResult<T> = std::result::Result<T, fame_txn::TxnError>;
 
 impl Database {
     /// Open (or create) a database per the configuration.
@@ -684,7 +598,7 @@ impl Database {
                     std::time::Duration::from_millis(config.lock_timeout_ms),
                 )))
             }
-            Some(mgr) => TxnSlot::Own(mgr),
+            Some(mgr) => TxnSlot::Own(mgr, fame_txn::LockManager::new()),
             None => TxnSlot::None,
         };
 
@@ -837,10 +751,12 @@ impl Database {
     /// The handle clones cheaply (two `Arc` bumps) and is `Send` — spawn
     /// one clone per writer thread. Each handle runs full transactions
     /// (`begin`/`put`/`get`/`remove`/`commit`/`abort`): conflicting key
-    /// accesses serialize through the blocking S/X block-lock table
-    /// (deadlock victims abort, waits time out), and every commit rides
-    /// the cross-transaction group channel — concurrent committers share
-    /// one coalesced WAL append and one protocol sync per drain.
+    /// accesses serialize through the blocking S/X block-lock table, the
+    /// product's only lock manager (a request whose wait would close a
+    /// deadlock cycle fails at once; the lock timeout is a backstop), and
+    /// every commit rides the cross-transaction group channel — concurrent
+    /// committers share one coalesced WAL append and one protocol sync per
+    /// drain.
     ///
     /// Errors unless this instance runs `Concurrency::MultiWriter` with
     /// transactions configured.
@@ -1127,11 +1043,58 @@ impl Database {
     /// one coalesced WAL append, one commit (= one sync under Force).
     #[cfg(all(feature = "api-batch", feature = "transactions"))]
     fn apply_batch_txn(&mut self, resolved: &[ResolvedOp]) -> Result<()> {
-        // Before-images for undo; removes whose key never existed have no
-        // net effect and are dropped from both the log and the apply set.
+        if resolved.is_empty() {
+            return Ok(());
+        }
+        let txn_id = self.txn.begin()?;
+        let staged = self
+            .log_batch_locked(txn_id, resolved)
+            .and_then(|apply| self.kv_apply_bulk(apply));
+        if let Err(e) = staged {
+            // Undo whatever part of the batch reached the index.
+            let _ = self.roll_back(txn_id);
+            return Err(e);
+        }
+        self.txn.commit(txn_id)?;
+        Ok(())
+    }
+
+    /// Abort `txn_id`: undo its writes in the index, then release its
+    /// locks — never the other way round, or a concurrent writer granted
+    /// early would read the un-undone value. Stops at the first failed
+    /// undo step; the locks are released either way.
+    #[cfg(feature = "transactions")]
+    fn roll_back(&mut self, txn_id: fame_txn::TxnId) -> Result<()> {
+        let undone = self
+            .txn
+            .abort(txn_id)
+            .map_err(DbmsError::from)
+            .and_then(|undo| {
+                undo.into_iter()
+                    .try_for_each(|action| match action.restore {
+                        Some(old) => self.kv_put(&action.key, &old).map(|_| ()),
+                        None => self.kv_remove(&action.key).map(|_| ()),
+                    })
+            });
+        self.txn.release_locks(txn_id);
+        undone
+    }
+
+    /// Lock each key of the batch and read its before-image, then log the
+    /// whole batch — the order single writes follow, so a lock conflict
+    /// fails the batch before a single record reaches the log. Removes
+    /// whose key no longer exists have no net effect and are dropped from
+    /// both the log and the returned apply set.
+    #[cfg(all(feature = "api-batch", feature = "transactions"))]
+    fn log_batch_locked(
+        &mut self,
+        txn_id: fame_txn::TxnId,
+        resolved: &[ResolvedOp],
+    ) -> Result<Vec<ResolvedOp>> {
         let mut writes = Vec::with_capacity(resolved.len());
         let mut apply = Vec::with_capacity(resolved.len());
         for (key, op) in resolved {
+            self.txn.lock(txn_id, key, fame_txn::LockMode::Exclusive)?;
             let old = self.kv_get(key)?;
             match op {
                 Some(value) => {
@@ -1154,36 +1117,8 @@ impl Database {
                 }
             }
         }
-        if writes.is_empty() {
-            return Ok(());
-        }
-        let txn_id = self.txn.begin()?;
-        if let Err(e) = self.txn.log_batch(txn_id, &writes) {
-            // Nothing was logged (locks are taken before the append);
-            // release whatever locks the conflicting acquisition left.
-            let _ = self.txn.abort(txn_id);
-            self.txn.release_locks(txn_id);
-            return Err(e.into());
-        }
-        if let Err(e) = self.kv_apply_bulk(apply) {
-            // Roll the index back so a partial bulk apply is not visible.
-            if let Ok(undo) = self.txn.abort(txn_id) {
-                for action in undo {
-                    match action.restore {
-                        Some(old) => {
-                            let _ = self.kv_put(&action.key, &old);
-                        }
-                        None => {
-                            let _ = self.kv_remove(&action.key);
-                        }
-                    }
-                }
-            }
-            self.txn.release_locks(txn_id);
-            return Err(e);
-        }
-        self.txn.commit_batch(txn_id)?;
-        Ok(())
+        self.txn.manager(|m| m.log_batch(txn_id, &writes))?;
+        Ok(apply)
     }
 
     /// Number of live keys.
@@ -1297,13 +1232,13 @@ impl Database {
             #[cfg(feature = "api-batch")]
             batch_latency: self.batch_obs.latency.snapshot(),
             #[cfg(feature = "transactions")]
-            txn: self.txn.stats(),
+            txn: self.txn.read(fame_txn::TxnManager::stats),
             #[cfg(feature = "transactions")]
-            log_syncs: self.txn.log_syncs(),
+            log_syncs: self.txn.read(fame_txn::TxnManager::log_syncs),
             #[cfg(feature = "transactions")]
-            log_bytes: self.txn.log_bytes(),
+            log_bytes: self.txn.read(fame_txn::TxnManager::log_bytes),
             #[cfg(feature = "transactions")]
-            commit_latency: self.txn.commit_latency(),
+            commit_latency: self.txn.read(|m| m.obs().commit_latency.snapshot()),
             #[cfg(feature = "concurrency-multi-writer")]
             locks: self.txn.lock_stats(),
             #[cfg(feature = "concurrency-snapshot")]
@@ -1427,15 +1362,16 @@ impl Database {
         Ok(TxnHandle { id })
     }
 
-    /// Transactional put: WAL + lock first, then apply. In MultiWriter
-    /// products the exclusive block lock is taken up front (blocking),
-    /// which is what makes the read-log-apply sequence atomic against
-    /// concurrent [`DbWriter`] transactions.
+    /// Transactional put: exclusive lock, read the old value, log, then
+    /// apply. The lock taken up front (blocking in MultiWriter products) is
+    /// what makes the read-log-apply sequence atomic against concurrent
+    /// transactions.
     #[cfg(all(feature = "transactions", feature = "api-put"))]
     pub fn txn_put(&mut self, txn: TxnHandle, key: &[u8], value: &[u8]) -> Result<()> {
-        self.txn.lock_write(txn.id, key)?;
+        self.txn.lock(txn.id, key, fame_txn::LockMode::Exclusive)?;
         let old = self.kv_get(key)?;
-        self.txn.log_put(txn.id, 0, key, old, value)?;
+        self.txn
+            .manager(|m| m.log_put(txn.id, 0, key, old, value))?;
         self.kv_put(key, value)?;
         if let Some(pending) = self.txn_pending_ship.get_mut(&txn.id) {
             pending.push((key.to_vec(), Some(value.to_vec())));
@@ -1446,19 +1382,19 @@ impl Database {
     /// Transactional get (takes a read lock).
     #[cfg(all(feature = "transactions", feature = "api-get"))]
     pub fn txn_get(&mut self, txn: TxnHandle, key: &[u8]) -> Result<Option<Vec<u8>>> {
-        self.txn.lock_read(txn.id, key)?;
+        self.txn.lock(txn.id, key, fame_txn::LockMode::Shared)?;
         self.kv_get(key)
     }
 
     /// Transactional remove.
     #[cfg(all(feature = "transactions", feature = "api-remove"))]
     pub fn txn_remove(&mut self, txn: TxnHandle, key: &[u8]) -> Result<bool> {
-        self.txn.lock_write(txn.id, key)?;
+        self.txn.lock(txn.id, key, fame_txn::LockMode::Exclusive)?;
         let old = self.kv_get(key)?;
         let Some(old) = old else {
             return Ok(false);
         };
-        self.txn.log_remove(txn.id, 0, key, old)?;
+        self.txn.manager(|m| m.log_remove(txn.id, 0, key, old))?;
         self.kv_remove(key)?;
         if let Some(pending) = self.txn_pending_ship.get_mut(&txn.id) {
             pending.push((key.to_vec(), None));
@@ -1499,28 +1435,12 @@ impl Database {
         Ok(())
     }
 
-    /// Abort: applies compensating actions to the index. In MultiWriter
-    /// products the block locks are released only *after* the undo is
-    /// applied, so no concurrent writer observes the un-undone value.
+    /// Abort: applies compensating actions to the index, then releases the
+    /// transaction's locks.
     #[cfg(feature = "transactions")]
     pub fn abort(&mut self, txn: TxnHandle) -> Result<()> {
-        let undo = self.txn.abort(txn.id)?;
         self.txn_pending_ship.remove(&txn.id);
-        let mut first_err = None;
-        for action in undo {
-            let applied = match action.restore {
-                Some(old) => self.kv_put(&action.key, &old).map(|_| ()),
-                None => self.kv_remove(&action.key).map(|_| ()),
-            };
-            if let Err(e) = applied {
-                first_err = Some(e);
-                break;
-            }
-        }
-        self.txn.release_locks(txn.id);
-        if let Some(e) = first_err {
-            return Err(e);
-        }
+        self.roll_back(txn.id)?;
         #[cfg(feature = "statistics")]
         self.trace.record(fame_obs::OpKind::TxnAbort, txn.id, 0);
         #[cfg(feature = "obs-trace")]
@@ -1535,13 +1455,13 @@ impl Database {
     /// Transaction statistics `(committed, aborted)`.
     #[cfg(feature = "transactions")]
     pub fn txn_stats(&self) -> Option<(u64, u64)> {
-        self.txn.stats()
+        self.txn.read(fame_txn::TxnManager::stats)
     }
 
     /// Log-device sync count (commit-protocol comparison metric).
     #[cfg(feature = "transactions")]
     pub fn log_syncs(&self) -> Option<u64> {
-        self.txn.log_syncs()
+        self.txn.read(fame_txn::TxnManager::log_syncs)
     }
 
     /// Replay captured WAL records against the store (run at open).
@@ -1575,7 +1495,7 @@ impl Database {
         let sealed = matches!(records.last(), Some((_, fame_txn::LogRecord::Checkpoint)))
             && stats.losers.is_empty();
         if !sealed {
-            self.txn.seal_recovery(&stats.losers)?;
+            self.txn.manager(|m| m.seal_recovery(&stats.losers))?;
         }
         #[cfg(feature = "statistics")]
         self.trace.record(
@@ -1682,7 +1602,7 @@ pub struct IntegritySummary {
 ///
 /// Coherent point-in-time copy: every field is a plain value read once
 /// from its atomic source, safe to take while concurrent [`DbReader`]s
-/// run. Formerly `DbStats` — the alias still works.
+/// run.
 #[cfg(feature = "statistics")]
 #[derive(Debug, Clone)]
 pub struct StatsSnapshot {
@@ -1767,10 +1687,6 @@ pub struct StatsSnapshot {
     #[cfg(feature = "replication")]
     pub replication_lag: Option<u64>,
 }
-
-/// Pre-rename alias of [`StatsSnapshot`].
-#[cfg(feature = "statistics")]
-pub type DbStats = StatsSnapshot;
 
 #[cfg(feature = "statistics")]
 impl StatsSnapshot {
@@ -2340,10 +2256,12 @@ impl Drop for DbSnapshot {
 /// per thread is the intended pattern. Every data access first takes the
 /// key's block lock (S for reads, X for writes) from the blocking lock
 /// table — transactions touching disjoint key ranges proceed in parallel,
-/// conflicting ones wait in FIFO order, and cycles abort the youngest
-/// transaction with [`fame_txn::LockError::Deadlock`]. Commits funnel
-/// through the cross-transaction group channel: one WAL append and one
-/// protocol sync cover every transaction in a drain.
+/// conflicting ones wait in FIFO order, and the request that would close a
+/// wait cycle fails with [`fame_txn::LockError::Deadlock`]; its
+/// transaction must abort. Each key is locked once, in that table, and
+/// writes follow the facade's order: lock, read old value, log, apply.
+/// Commits funnel through the cross-transaction group channel: one WAL
+/// append and one protocol sync cover every transaction in a drain.
 ///
 /// Lock order (deadlock-free by construction): block-lock table, then the
 /// storage mutex, then the manager mutex — never the reverse.
@@ -2534,7 +2452,8 @@ pub struct LockStats {
     pub waits: u64,
     /// Time spent parked, per blocking acquisition.
     pub wait_time: fame_obs::HistogramSnapshot,
-    /// Transactions aborted as deadlock victims.
+    /// Lock requests refused because their wait would close a deadlock
+    /// cycle.
     pub deadlock_aborts: u64,
     /// Acquisitions that gave up on timeout.
     pub timeout_aborts: u64,
@@ -2864,6 +2783,138 @@ mod tests {
         assert_eq!(d.get(b"a").unwrap(), Some(b"1".to_vec()), "abort restored");
         assert_eq!(d.get(b"b").unwrap(), None, "created key rolled back");
         assert_eq!(d.txn_stats(), Some((1, 1)));
+    }
+
+    /// Single-writer products lock each key once, in the no-wait
+    /// `LockManager` their transaction slot owns.
+    #[cfg(all(
+        feature = "transactions",
+        feature = "commit-force",
+        feature = "api-put",
+        feature = "api-get",
+        feature = "api-remove"
+    ))]
+    mod no_wait_locks {
+        use super::*;
+
+        /// A single-writer product with Force-commit transactions.
+        fn txn_config() -> DbmsConfig {
+            let mut cfg = DbmsConfig::default_for_build();
+            cfg.transactions = Some(crate::config::TxnConfig {
+                commit: fame_txn::CommitPolicy::Force,
+            });
+            cfg
+        }
+
+        fn txn_db() -> Database {
+            Database::open(txn_config()).unwrap()
+        }
+
+        fn is_conflict<T: std::fmt::Debug>(r: Result<T>) -> bool {
+            matches!(r, Err(DbmsError::Txn(fame_txn::TxnError::Conflict(_))))
+        }
+
+        #[test]
+        fn single_writer_conflict_then_abort_and_retry() {
+            let mut d = txn_db();
+            d.put(b"k", b"old").unwrap();
+            let t1 = d.begin().unwrap();
+            let t2 = d.begin().unwrap();
+            d.txn_put(t1, b"k", b"t1").unwrap();
+            assert!(is_conflict(d.txn_put(t2, b"k", b"t2")));
+            assert!(is_conflict(d.txn_remove(t2, b"k")));
+            d.abort(t1).unwrap();
+            assert_eq!(
+                d.get(b"k").unwrap(),
+                Some(b"old".to_vec()),
+                "abort restored"
+            );
+            d.txn_put(t2, b"k", b"t2").unwrap();
+            d.commit(t2).unwrap();
+            assert_eq!(d.get(b"k").unwrap(), Some(b"t2".to_vec()));
+            assert_eq!(d.txn_stats(), Some((1, 1)));
+        }
+
+        #[test]
+        fn write_conflict_between_transactions() {
+            let mut d = txn_db();
+            let t1 = d.begin().unwrap();
+            let t2 = d.begin().unwrap();
+            d.txn_put(t1, b"k", b"v1").unwrap();
+            assert!(is_conflict(d.txn_put(t2, b"k", b"v2")));
+            // After t1 commits, t2 can proceed.
+            d.commit(t1).unwrap();
+            d.txn_put(t2, b"k", b"v2").unwrap();
+            d.commit(t2).unwrap();
+        }
+
+        #[test]
+        fn readers_share_then_block_writer() {
+            let mut d = txn_db();
+            let t1 = d.begin().unwrap();
+            let t2 = d.begin().unwrap();
+            d.txn_get(t1, b"k").unwrap();
+            d.txn_get(t2, b"k").unwrap();
+            let t3 = d.begin().unwrap();
+            assert!(is_conflict(d.txn_put(t3, b"k", b"v")));
+        }
+
+        #[cfg(feature = "api-batch")]
+        #[test]
+        fn batch_conflict_fails_before_logging_anything() {
+            let mut d = txn_db();
+            let log_bytes = |d: &Database| d.txn.read(fame_txn::TxnManager::log_bytes).unwrap();
+            // What a transaction that logs nothing leaves: Begin and Abort.
+            let before = log_bytes(&d);
+            let t = d.begin().unwrap();
+            d.abort(t).unwrap();
+            let empty_txn = log_bytes(&d) - before;
+
+            let t1 = d.begin().unwrap();
+            d.txn_put(t1, b"bk2", b"v").unwrap();
+            let mut b = WriteBatch::new();
+            for i in 0..4 {
+                b.put(format!("bk{i}").as_bytes(), b"batch");
+            }
+            let before = log_bytes(&d);
+            assert!(is_conflict(d.apply_batch(b)));
+            assert_eq!(
+                log_bytes(&d) - before,
+                empty_txn,
+                "a conflicting batch logs no records"
+            );
+            assert_eq!(d.len().unwrap(), 1, "only t1's key reached the index");
+        }
+
+        #[test]
+        fn failed_commit_sync_keeps_locks() {
+            use fame_os::{FaultDevice, FaultPlan, InMemoryDevice, SharedDevice};
+            let plan = FaultPlan {
+                fail_after_syncs: Some(0),
+                ..Default::default()
+            };
+            let log = SharedDevice::new(FaultDevice::new(InMemoryDevice::new(512), plan));
+            let handle = log.clone();
+            let cfg = txn_config();
+            let data = Box::new(InMemoryDevice::new(cfg.page_size));
+            let mut d = Database::open_with_devices(cfg, data, Some(Box::new(log))).unwrap();
+
+            let t = d.begin().unwrap();
+            d.txn_put(t, b"k", b"v").unwrap();
+            assert!(d.commit(t).is_err(), "sync fails");
+
+            // Once the device recovers, t still holds its exclusive lock, and
+            // the retried commit releases it.
+            handle.with(|dev| dev.heal());
+            let t2 = d.begin().unwrap();
+            assert!(
+                is_conflict(d.txn_put(t2, b"k", b"x")),
+                "t still holds its exclusive lock after the failed commit"
+            );
+            d.commit(t).unwrap();
+            d.txn_put(t2, b"k", b"x").unwrap();
+            d.commit(t2).unwrap();
+        }
     }
 
     #[cfg(all(

@@ -83,7 +83,7 @@ pub use db::TxnHandle;
 #[cfg(feature = "api-batch")]
 pub use db::WriteBatch;
 #[cfg(feature = "statistics")]
-pub use db::{DbStats, IntegritySummary, StatsSnapshot};
+pub use db::{IntegritySummary, StatsSnapshot};
 #[cfg(feature = "buffer")]
 pub use fame_buffer::Concurrency;
 

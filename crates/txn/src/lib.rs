@@ -14,14 +14,18 @@
 //! * [`log`] — an append-only log over any [`fame_os::BlockDevice`], with
 //!   torn-tail detection on read-back;
 //! * [`manager`] — [`manager::TxnManager`]: transaction table, undo
-//!   tracking, commit protocols;
-//! * [`locks`] — a no-wait key-level lock manager (shared/exclusive).
-//!   No-wait means a conflicting request fails immediately — the classic
-//!   deadlock-*avoidance* choice for embedded engines, where blocking an
-//!   interrupt-driven task is worse than retrying;
+//!   tracking, commit protocols. It takes no locks: each product runs
+//!   exactly one of the two lock managers below, chosen by its
+//!   `Concurrency` alternative;
+//! * [`locks`] — a no-wait key-level lock manager (shared/exclusive), the
+//!   single-writer products' choice. No-wait means a conflicting request
+//!   fails immediately — the classic deadlock-*avoidance* choice for
+//!   embedded engines, where blocking an interrupt-driven task is worse
+//!   than retrying;
 //! * [`lock_table`] — the *blocking* S/X block-lock table behind the
 //!   `Concurrency → MultiWriter` alternative: FIFO condvar parking, lock
-//!   timeout, waits-for deadlock detection aborting the youngest txn;
+//!   timeout, waits-for deadlock detection aborting the requester whose
+//!   wait would close a cycle;
 //! * [`shared`] (feature `multi-writer`) — [`shared::SharedTxnManager`]:
 //!   `&self` transaction API over interior mutability plus leader-based
 //!   cross-transaction group commit;

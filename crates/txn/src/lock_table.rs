@@ -3,10 +3,10 @@
 //! Where [`crate::locks::LockManager`] rejects conflicts immediately
 //! (no-wait), this table *parks* the requester on a condvar in a FIFO wait
 //! queue until the lock is grantable, a configurable timeout expires, or
-//! deadlock detection picks the requester as victim. It is the concurrency
-//! backbone of the `Concurrency → MultiWriter` product: independent
-//! transactions on disjoint blocks proceed in parallel; conflicting ones
-//! serialize by waiting instead of aborting.
+//! waiting would close a deadlock cycle. It is the concurrency backbone of
+//! the `Concurrency → MultiWriter` product: independent transactions on
+//! disjoint blocks proceed in parallel; conflicting ones serialize by
+//! waiting instead of aborting.
 //!
 //! Keys are hashed (FNV-1a) to a 64-bit [`BlockId`] so the table size is
 //! bounded by live locks, not key length. A hash collision merges two keys
@@ -14,13 +14,15 @@
 //! each other where they did not need to, but serializability is never
 //! weakened (more blocking, never less).
 //!
-//! Deadlock policy: detection runs at block time (DFS over the waits-for
-//! graph: waiter → current holders and earlier queued waiters of its
-//! block). On a cycle the *youngest* transaction (largest `TxnId` — least
-//! work lost) is aborted: if that is the requester it gets
-//! [`LockError::Deadlock`] immediately; otherwise the victim is flagged and
-//! woken, and its own `acquire` returns the error. Victims must abort the
-//! transaction (releasing all locks) to break the cycle.
+//! Deadlock policy: detection runs when a request joins a wait queue
+//! (DFS over the waits-for graph: waiter → current holders and earlier
+//! queued waiters of its block). Only an enqueue adds wait-for edges, so a
+//! new cycle always runs through the requester; the requester is aborted
+//! on the spot with [`LockError::Deadlock`], which breaks every cycle the
+//! moment it forms. No other transaction is ever chosen, so nothing has
+//! to be flagged across threads. The requester must abort its
+//! transaction (releasing all locks); the lock timeout stays as a
+//! backstop and never fires on a deadlock.
 //!
 //! Lock-order discipline: the table's internal mutex is *leaf-level* — it
 //! is never held while acquiring any other lock (condvar waits release it),
@@ -60,7 +62,8 @@ pub enum LockError {
         /// Transactions holding the block when the wait gave up.
         holders: Vec<TxnId>,
     },
-    /// Deadlock detection chose the requester as victim (youngest in cycle).
+    /// The requester's wait would have closed a cycle in the waits-for
+    /// graph; it was not queued.
     Deadlock {
         /// Block that could not be locked.
         block: BlockId,
@@ -104,7 +107,8 @@ pub struct LockObs {
     pub waits: fame_obs::Counter,
     /// Time spent parked, per blocking acquisition.
     pub wait_time: fame_obs::Histogram,
-    /// Transactions aborted as deadlock victims.
+    /// Lock requests refused because their wait would close a deadlock
+    /// cycle.
     pub deadlock_aborts: fame_obs::Counter,
     /// Acquisitions that gave up on timeout.
     pub timeout_aborts: fame_obs::Counter,
@@ -124,9 +128,6 @@ struct TableState {
     table: HashMap<BlockId, BlockEntry>,
     /// Reverse index: blocks held per transaction (O(own) release).
     owned: HashMap<TxnId, Vec<BlockId>>,
-    /// Deadlock victims flagged by another waiter's detection pass; each
-    /// victim discovers its flag on wakeup and returns `Deadlock`.
-    victims: Vec<TxnId>,
 }
 
 /// Did [`LockTable::try_grant`] grant, and how? The distinction feeds the
@@ -184,7 +185,7 @@ impl LockTable {
     }
 
     /// Block until `txn` holds `key`'s block in `mode`, the timeout
-    /// expires, or deadlock detection aborts the requester.
+    /// expires, or waiting would close a deadlock cycle.
     pub fn acquire(&self, txn: TxnId, key: &[u8], mode: LockMode) -> Result<(), LockError> {
         self.acquire_block(txn, block_of(key), mode)
     }
@@ -197,53 +198,28 @@ impl LockTable {
         mode: LockMode,
     ) -> Result<(), LockError> {
         let mut state = self.state.lock().expect("lock table poisoned");
-        let mut queued = false;
-        let mut deadline: Option<Instant> = None;
-        #[cfg(feature = "obs")]
-        let mut wait_start: Option<u64> = None;
+        // When the request joined the block's wait queue.
+        let mut enqueued: Option<Instant> = None;
 
         loop {
-            // A prior waiter's detection pass may have flagged us.
-            if let Some(pos) = state.victims.iter().position(|&v| v == txn) {
-                state.victims.swap_remove(pos);
-                let holders = Self::unqueue(&mut state, block, txn);
-                #[cfg(feature = "obs")]
-                self.obs.deadlock_aborts.inc();
-                #[cfg(feature = "obs")]
-                if let Some(t0) = wait_start {
-                    self.obs.wait_time.record_ns(fame_obs::monotonic_ns() - t0);
-                }
-                #[cfg(feature = "trace")]
-                self.emit(
-                    fame_obs::SpanKind::DeadlockVictim,
-                    txn,
-                    holders.first().copied().unwrap_or(0),
-                    block,
-                    holders.len() as u64,
-                );
-                return Err(LockError::Deadlock {
-                    block,
-                    requester: txn,
-                    holders,
-                });
-            }
-
-            match Self::try_grant(&mut state, block, txn, mode, queued) {
+            match Self::try_grant(&mut state, block, txn, mode, enqueued.is_some()) {
                 Grant::Denied => {}
                 granted => {
-                    if queued {
+                    if let Some(since) = enqueued {
                         // The next queued waiter may now be grantable too
                         // (e.g. shared readers draining behind us).
                         self.cv.notify_all();
-                    }
-                    #[cfg(feature = "obs")]
-                    if let Some(t0) = wait_start {
-                        let waited = fame_obs::monotonic_ns() - t0;
-                        self.obs.wait_time.record_ns(waited);
-                        // Grant-after-park: the wait edge resolves. Fresh
-                        // uncontended grants (the hot path) emit nothing.
-                        #[cfg(feature = "trace")]
-                        self.emit(fame_obs::SpanKind::LockGrant, txn, 0, waited, block);
+                        #[cfg(feature = "obs")]
+                        {
+                            let waited = nanos_since(since);
+                            self.obs.wait_time.record_ns(waited);
+                            // Grant-after-park: the wait edge resolves. Fresh
+                            // uncontended grants (the hot path) emit nothing.
+                            #[cfg(feature = "trace")]
+                            self.emit(fame_obs::SpanKind::LockGrant, txn, 0, waited, block);
+                        }
+                        #[cfg(not(feature = "obs"))]
+                        let _ = since;
                     }
                     #[cfg(feature = "trace")]
                     if granted == Grant::Upgraded {
@@ -255,93 +231,39 @@ impl LockTable {
                 }
             }
 
-            if !queued {
-                state
-                    .table
-                    .entry(block)
-                    .or_default()
-                    .queue
-                    .push_back((txn, mode));
-                queued = true;
-                deadline = Some(Instant::now() + self.timeout);
-                #[cfg(feature = "obs")]
-                {
-                    self.obs.waits.inc();
-                    wait_start = Some(fame_obs::monotonic_ns());
-                }
-                // The wait-for edge: requester behind the current holders.
-                #[cfg(feature = "trace")]
-                {
-                    let (first_holder, n) = state
+            let since = match enqueued {
+                Some(since) => since,
+                None => {
+                    let since = Instant::now();
+                    state
                         .table
-                        .get(&block)
-                        .map(|e| (e.holders.first().copied().unwrap_or(0), e.holders.len()))
-                        .unwrap_or((0, 0));
-                    self.emit(
-                        fame_obs::SpanKind::LockWait,
-                        txn,
-                        first_holder,
-                        block,
-                        n as u64,
-                    );
-                }
-                // Detect at block time: adding this edge is the only way a
-                // cycle can form.
-                if let Some(victim) = Self::find_deadlock_victim(&state, txn, block) {
-                    if victim == txn {
-                        let holders = Self::unqueue(&mut state, block, txn);
-                        #[cfg(feature = "obs")]
-                        self.obs.deadlock_aborts.inc();
-                        #[cfg(feature = "obs")]
-                        if let Some(t0) = wait_start {
-                            self.obs.wait_time.record_ns(fame_obs::monotonic_ns() - t0);
-                        }
-                        #[cfg(feature = "trace")]
-                        self.emit(
-                            fame_obs::SpanKind::DeadlockVictim,
-                            txn,
-                            holders.first().copied().unwrap_or(0),
-                            block,
-                            holders.len() as u64,
-                        );
-                        return Err(LockError::Deadlock {
-                            block,
-                            requester: txn,
-                            holders,
-                        });
+                        .entry(block)
+                        .or_default()
+                        .queue
+                        .push_back((txn, mode));
+                    enqueued = Some(since);
+                    #[cfg(feature = "obs")]
+                    self.obs.waits.inc();
+                    // The wait-for edge: requester behind the current holders.
+                    #[cfg(feature = "trace")]
+                    {
+                        let holders = &state.table[&block].holders;
+                        let first = holders.first().copied().unwrap_or(0);
+                        let n = holders.len() as u64;
+                        self.emit(fame_obs::SpanKind::LockWait, txn, first, block, n);
                     }
-                    state.victims.push(victim);
-                    self.cv.notify_all();
+                    // Detect at enqueue time: this edge is the only way a
+                    // cycle can form, so aborting the requester breaks it.
+                    if Self::closes_cycle(&state, txn, block) {
+                        return Err(self.give_up(&mut state, block, txn, since, true));
+                    }
+                    since
                 }
-            }
+            };
 
-            let remaining = deadline
-                .expect("queued implies deadline")
-                .saturating_duration_since(Instant::now());
+            let remaining = (since + self.timeout).saturating_duration_since(Instant::now());
             if remaining.is_zero() {
-                let holders = Self::unqueue(&mut state, block, txn);
-                // Drop any victim flag racing with the timeout so it cannot
-                // ambush this transaction's next wait.
-                state.victims.retain(|&v| v != txn);
-                #[cfg(feature = "obs")]
-                self.obs.timeout_aborts.inc();
-                #[cfg(feature = "obs")]
-                if let Some(t0) = wait_start {
-                    self.obs.wait_time.record_ns(fame_obs::monotonic_ns() - t0);
-                }
-                #[cfg(feature = "trace")]
-                self.emit(
-                    fame_obs::SpanKind::TimeoutAbort,
-                    txn,
-                    holders.first().copied().unwrap_or(0),
-                    block,
-                    holders.len() as u64,
-                );
-                return Err(LockError::Timeout {
-                    block,
-                    requester: txn,
-                    holders,
-                });
+                return Err(self.give_up(&mut state, block, txn, since, false));
             }
             let (guard, _timed_out) = self
                 .cv
@@ -351,11 +273,70 @@ impl LockTable {
         }
     }
 
+    /// Withdraw `txn`'s queued request on `block` (dropping the entry if
+    /// it becomes empty) and build its error, naming the current holders: a
+    /// deadlock abort when `deadlock`, else a timeout. Waiters behind the
+    /// withdrawn request are woken, since it may have been all that stood
+    /// between them and a grant.
+    fn give_up(
+        &self,
+        state: &mut TableState,
+        block: BlockId,
+        txn: TxnId,
+        since: Instant,
+        deadlock: bool,
+    ) -> LockError {
+        let mut holders = Vec::new();
+        if let Some(e) = state.table.get_mut(&block) {
+            e.queue.retain(|&(t, _)| t != txn);
+            holders.clone_from(&e.holders);
+            if e.holders.is_empty() && e.queue.is_empty() {
+                state.table.remove(&block);
+            }
+        }
+        self.cv.notify_all();
+        #[cfg(feature = "obs")]
+        {
+            if deadlock {
+                self.obs.deadlock_aborts.inc();
+            } else {
+                self.obs.timeout_aborts.inc();
+            }
+            self.obs.wait_time.record_ns(nanos_since(since));
+        }
+        #[cfg(not(feature = "obs"))]
+        let _ = since;
+        #[cfg(feature = "trace")]
+        self.emit(
+            if deadlock {
+                fame_obs::SpanKind::DeadlockVictim
+            } else {
+                fame_obs::SpanKind::TimeoutAbort
+            },
+            txn,
+            holders.first().copied().unwrap_or(0),
+            block,
+            holders.len() as u64,
+        );
+        if deadlock {
+            LockError::Deadlock {
+                block,
+                requester: txn,
+                holders,
+            }
+        } else {
+            LockError::Timeout {
+                block,
+                requester: txn,
+                holders,
+            }
+        }
+    }
+
     /// Release every block `txn` holds and wake all waiters. O(blocks held
     /// by `txn`) via the reverse index.
     pub fn release_all(&self, txn: TxnId) {
         let mut state = self.state.lock().expect("lock table poisoned");
-        state.victims.retain(|&v| v != txn);
         let Some(blocks) = state.owned.remove(&txn) else {
             return;
         };
@@ -386,6 +367,17 @@ impl LockTable {
             .table
             .get(&block_of(key))
             .map(|e| e.holders.clone())
+            .unwrap_or_default()
+    }
+
+    /// Transactions queued on a key's block, in grant order.
+    #[cfg(test)]
+    pub(crate) fn waiters(&self, key: &[u8]) -> Vec<TxnId> {
+        let state = self.state.lock().expect("lock table poisoned");
+        state
+            .table
+            .get(&block_of(key))
+            .map(|e| e.queue.iter().map(|&(t, _)| t).collect())
             .unwrap_or_default()
     }
 
@@ -463,32 +455,13 @@ impl LockTable {
         Grant::Granted
     }
 
-    /// Remove `txn` from `block`'s queue, returning the current holders
-    /// (for the error) and dropping the entry if it became empty.
-    fn unqueue(state: &mut TableState, block: BlockId, txn: TxnId) -> Vec<TxnId> {
-        let Some(e) = state.table.get_mut(&block) else {
-            return Vec::new();
-        };
-        e.queue.retain(|&(t, _)| t != txn);
-        let holders = e.holders.clone();
-        if e.holders.is_empty() && e.queue.is_empty() {
-            state.table.remove(&block);
-        }
-        holders
-    }
-
     /// DFS over the waits-for graph from `start` (just queued on
-    /// `start_block`). Edges: waiter → holders of its block and earlier
-    /// queued waiters (FIFO: they will be granted first). Returns the
-    /// youngest (max `TxnId`) transaction on a cycle through `start`, or
-    /// `None` if acyclic. Conservative: a collision-merged block or an
+    /// `start_block`): does a path lead back to `start`? Edges: waiter →
+    /// holders of its block and earlier queued waiters (FIFO: they will be
+    /// granted first). Conservative: a collision-merged block or an
     /// earlier compatible waiter can produce a false cycle — the cost is an
     /// unnecessary abort, never a missed deadlock.
-    fn find_deadlock_victim(
-        state: &TableState,
-        start: TxnId,
-        start_block: BlockId,
-    ) -> Option<TxnId> {
+    fn closes_cycle(state: &TableState, start: TxnId, start_block: BlockId) -> bool {
         // waits_on: txn → block it is queued on (a txn waits on one block
         // at a time: acquire is synchronous).
         let mut waits_on: HashMap<TxnId, BlockId> = HashMap::new();
@@ -500,53 +473,33 @@ impl LockTable {
         waits_on.insert(start, start_block);
 
         let blocked_by = |t: TxnId| -> Vec<TxnId> {
-            let Some(&b) = waits_on.get(&t) else {
-                return Vec::new();
-            };
-            let Some(e) = state.table.get(&b) else {
+            let Some(e) = waits_on.get(&t).and_then(|b| state.table.get(b)) else {
                 return Vec::new();
             };
             let mut out: Vec<TxnId> = e.holders.iter().copied().filter(|&h| h != t).collect();
-            for &(q, _) in &e.queue {
-                if q == t {
-                    break;
-                }
-                out.push(q);
-            }
+            out.extend(e.queue.iter().map(|&(q, _)| q).take_while(|&q| q != t));
             out
         };
 
-        // Iterative DFS looking for a cycle back to `start`.
         let mut stack: Vec<TxnId> = blocked_by(start);
         let mut seen: Vec<TxnId> = Vec::new();
-        let mut on_cycle: Vec<TxnId> = Vec::new();
         while let Some(t) = stack.pop() {
             if t == start {
-                // Found a path start → … → start. Collect everyone
-                // reachable from start that also reaches start; the
-                // conservative victim set is everything seen on the walk.
-                on_cycle = seen.clone();
-                on_cycle.push(start);
-                break;
+                return true;
             }
-            if seen.contains(&t) {
-                continue;
+            if !seen.contains(&t) {
+                seen.push(t);
+                stack.extend(blocked_by(t));
             }
-            seen.push(t);
-            stack.extend(blocked_by(t));
         }
-        if on_cycle.is_empty() {
-            return None;
-        }
-        // Victim = youngest waiter on the walk (largest TxnId that is
-        // actually waiting — aborting a non-waiting holder cannot unblock
-        // anyone through this mechanism).
-        on_cycle
-            .iter()
-            .copied()
-            .filter(|t| waits_on.contains_key(t))
-            .max()
+        false
     }
+}
+
+/// Nanoseconds elapsed since `since` (Statistics feature).
+#[cfg(feature = "obs")]
+fn nanos_since(since: Instant) -> u64 {
+    u64::try_from(since.elapsed().as_nanos()).unwrap_or(u64::MAX)
 }
 
 #[cfg(test)]
@@ -632,29 +585,80 @@ mod tests {
         assert_eq!(lt.locked_blocks(), 0);
     }
 
+    /// Spin until `txn` sits in `key`'s wait queue.
+    fn wait_until_queued(lt: &LockTable, key: &[u8], txn: TxnId) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while !lt.waiters(key).contains(&txn) {
+            assert!(Instant::now() < deadline, "txn {txn} never queued");
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+
     #[test]
-    fn deadlock_aborts_youngest() {
+    fn deadlock_aborts_requester() {
         // T1 holds a, T2 holds b; T2 blocks on a, then T1 blocks on b →
-        // cycle {1, 2}; youngest (2) is the victim.
+        // cycle {1, 2}. T1's request closed it, so T1 is the one aborted,
+        // even though it is the older transaction.
         let lt = Arc::new(LockTable::new(Duration::from_secs(5)));
         lt.acquire(1, b"a", LockMode::Exclusive).unwrap();
         lt.acquire(2, b"b", LockMode::Exclusive).unwrap();
         let lt2 = Arc::clone(&lt);
         let h = std::thread::spawn(move || lt2.acquire(2, b"a", LockMode::Exclusive));
-        std::thread::sleep(Duration::from_millis(30));
-        // T1 closing the cycle detects it; T2 (youngest) is flagged, T1
-        // keeps waiting until T2's abort releases b.
-        let lt1 = Arc::clone(&lt);
-        let h1 = std::thread::spawn(move || lt1.acquire(1, b"b", LockMode::Exclusive));
-        let err = h.join().unwrap().unwrap_err();
+        wait_until_queued(&lt, b"a", 2);
+        let err = lt.acquire(1, b"b", LockMode::Exclusive).unwrap_err();
         assert!(
-            matches!(err, LockError::Deadlock { requester: 2, .. }),
+            matches!(err, LockError::Deadlock { requester: 1, .. }),
             "got {err:?}"
         );
-        // Victim aborts: release everything, unblocking T1.
-        lt.release_all(2);
-        h1.join().unwrap().unwrap();
+        // The requester aborts: releasing a unblocks T2.
         lt.release_all(1);
+        h.join().unwrap().unwrap();
+        lt.release_all(2);
+        assert_eq!(lt.locked_blocks(), 0);
+    }
+
+    #[test]
+    fn off_cycle_waiter_is_not_the_victim() {
+        // 62 holds A, 64 holds B, 63 holds C. 62 waits on B, 64 waits on
+        // C, and 68 (the youngest, holding nothing) queues on A. Then 63
+        // queues on A behind 68, closing 63 → 62 → 64 → 63. Its walk also
+        // passes 68, which waits ahead of it but lies off the cycle:
+        // aborting 68 would leave the cycle to the timeout.
+        let timeout = Duration::from_secs(5);
+        let lt = Arc::new(LockTable::new(timeout));
+        lt.acquire(62, b"A", LockMode::Exclusive).unwrap();
+        lt.acquire(64, b"B", LockMode::Exclusive).unwrap();
+        lt.acquire(63, b"C", LockMode::Exclusive).unwrap();
+        let wait = |txn: TxnId, key: &'static [u8]| {
+            let waiter = Arc::clone(&lt);
+            let h = std::thread::spawn(move || waiter.acquire(txn, key, LockMode::Exclusive));
+            wait_until_queued(&lt, key, txn);
+            h
+        };
+        let w62 = wait(62, b"B");
+        let w64 = wait(64, b"C");
+        let w68 = wait(68, b"A");
+
+        let t0 = Instant::now();
+        let err = lt.acquire(63, b"A", LockMode::Exclusive).unwrap_err();
+        assert!(
+            matches!(err, LockError::Deadlock { requester: 63, .. }),
+            "got {err:?}"
+        );
+        assert!(
+            t0.elapsed() < timeout / 5,
+            "deadlock reported after {:?}",
+            t0.elapsed()
+        );
+
+        // Unwind: each release grants the next waiter in turn.
+        lt.release_all(63);
+        w64.join().unwrap().unwrap();
+        lt.release_all(64);
+        w62.join().unwrap().unwrap();
+        lt.release_all(62);
+        w68.join().unwrap().unwrap();
+        lt.release_all(68);
         assert_eq!(lt.locked_blocks(), 0);
     }
 
@@ -666,7 +670,7 @@ mod tests {
         lt.acquire(2, b"b", LockMode::Exclusive).unwrap();
         let lt1 = Arc::clone(&lt);
         let h = std::thread::spawn(move || lt1.acquire(1, b"b", LockMode::Exclusive));
-        std::thread::sleep(Duration::from_millis(30));
+        wait_until_queued(&lt, b"b", 1);
         let err = lt.acquire(2, b"a", LockMode::Exclusive).unwrap_err();
         assert!(
             matches!(err, LockError::Deadlock { requester: 2, .. }),

@@ -6,7 +6,7 @@ use std::fmt;
 
 use fame_os::OsError;
 
-use crate::locks::{LockConflict, LockManager, LockMode};
+use crate::locks::LockConflict;
 use crate::log::{LogWriter, Lsn};
 use crate::wal::LogRecord;
 
@@ -39,8 +39,8 @@ pub enum TxnError {
     Conflict(LockConflict),
     /// Log device failure.
     Os(OsError),
-    /// A blocking lock acquisition failed: timeout, or this transaction
-    /// was chosen as a deadlock victim. The caller must abort it.
+    /// A blocking lock acquisition failed: timeout, or waiting would have
+    /// closed a deadlock cycle. The caller must abort the transaction.
     #[cfg(feature = "multi-writer")]
     Lock(crate::lock_table::LockError),
     /// The group-commit leader's append or sync failed. Every transaction
@@ -130,15 +130,6 @@ pub enum BatchWrite {
     },
 }
 
-impl BatchWrite {
-    /// The key the operation touches.
-    pub fn key(&self) -> &[u8] {
-        match self {
-            BatchWrite::Put { key, .. } | BatchWrite::Remove { key, .. } => key,
-        }
-    }
-}
-
 /// Statistics feature: timing the transaction layer keeps beyond its
 /// always-on `(committed, aborted)` counters.
 #[cfg(feature = "obs")]
@@ -149,10 +140,12 @@ pub struct TxnObs {
     pub commit_latency: fame_obs::Histogram,
 }
 
-/// Transaction table + WAL + locks + commit protocol.
+/// Transaction table + WAL + commit protocol. Concurrency control is the
+/// caller's: the facade's single-writer slot pairs this manager with a
+/// no-wait [`crate::LockManager`], and MultiWriter products wrap it in a
+/// `SharedTxnManager` with its blocking [`crate::LockTable`].
 pub struct TxnManager {
     log: LogWriter,
-    locks: LockManager,
     active: BTreeMap<TxnId, TxnState>,
     next_id: TxnId,
     policy: CommitPolicy,
@@ -168,7 +161,6 @@ impl TxnManager {
     pub fn new(log: LogWriter, policy: CommitPolicy) -> Self {
         TxnManager {
             log,
-            locks: LockManager::new(),
             active: BTreeMap::new(),
             next_id: 1,
             policy,
@@ -208,15 +200,18 @@ impl TxnManager {
         self.active.get_mut(&txn).ok_or(TxnError::UnknownTxn(txn))
     }
 
-    /// Take a read lock on a key.
-    pub fn lock_read(&mut self, txn: TxnId, key: &[u8]) -> Result<(), TxnError> {
-        self.state(txn)?;
-        self.locks.acquire(txn, key, LockMode::Shared)?;
-        Ok(())
+    /// `Ok` while `txn` is active; lock managers check this before granting
+    /// a lock that nothing would release.
+    pub fn check_active(&self, txn: TxnId) -> Result<(), TxnError> {
+        if self.active.contains_key(&txn) {
+            Ok(())
+        } else {
+            Err(TxnError::UnknownTxn(txn))
+        }
     }
 
     /// Log a put *before* the caller applies it to storage (WAL rule).
-    /// Takes the exclusive lock.
+    /// The caller holds the key's exclusive lock.
     pub fn log_put(
         &mut self,
         txn: TxnId,
@@ -226,7 +221,6 @@ impl TxnManager {
         new: &[u8],
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
-        self.locks.acquire(txn, key, LockMode::Exclusive)?;
         let lsn = self.log.append(&LogRecord::Put {
             txn,
             index,
@@ -242,8 +236,8 @@ impl TxnManager {
         Ok(lsn)
     }
 
-    /// Log a remove *before* the caller applies it. Takes the exclusive
-    /// lock.
+    /// Log a remove *before* the caller applies it. The caller holds the
+    /// key's exclusive lock.
     pub fn log_remove(
         &mut self,
         txn: TxnId,
@@ -252,7 +246,6 @@ impl TxnManager {
         old: Vec<u8>,
     ) -> Result<Lsn, TxnError> {
         self.state(txn)?;
-        self.locks.acquire(txn, key, LockMode::Exclusive)?;
         let lsn = self.log.append(&LogRecord::Remove {
             txn,
             index,
@@ -268,21 +261,17 @@ impl TxnManager {
     }
 
     /// Log a whole batch of writes *before* the caller applies them to
-    /// storage (WAL rule), as one coalesced device pass.
+    /// storage (WAL rule), as one coalesced device pass. The caller holds
+    /// every key's exclusive lock.
     ///
-    /// Every key is locked up front, so a conflict anywhere fails the
-    /// batch before a single record reaches the log — all-or-nothing at
-    /// the lock layer too. The records then go out via
-    /// [`LogWriter::append_many`]: one frame-buffer encode, one write
-    /// sequence that touches each log page once, instead of one tail-page
-    /// rewrite per record as a loop over [`TxnManager::log_put`] would
-    /// issue. Undo actions are recorded per operation, so an abort after
-    /// a partial storage apply compensates exactly as for single writes.
+    /// The records go out via [`LogWriter::append_many`]: one frame-buffer
+    /// encode, one write sequence that touches each log page once, instead
+    /// of one tail-page rewrite per record as a loop over
+    /// [`TxnManager::log_put`] would issue. Undo actions are recorded per
+    /// operation, so an abort after a partial storage apply compensates
+    /// exactly as for single writes.
     pub fn log_batch(&mut self, txn: TxnId, ops: &[BatchWrite]) -> Result<Lsn, TxnError> {
         self.state(txn)?;
-        for op in ops {
-            self.locks.acquire(txn, op.key(), LockMode::Exclusive)?;
-        }
         let records: Vec<LogRecord> = ops
             .iter()
             .map(|op| match op {
@@ -327,51 +316,25 @@ impl TxnManager {
         Ok(lsn)
     }
 
-    /// Commit a batch transaction previously logged with
-    /// [`TxnManager::log_batch`]: exactly one log sync acknowledges the
-    /// whole batch regardless of its size. Under `commit-force` that is
-    /// the commit's own sync; under `commit-group` the batch counts as a
-    /// single commit toward the group quota, so grouping still amortizes
-    /// across batches rather than being defeated by large ones.
-    pub fn commit_batch(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        // One commit record + one protocol step — identical durability
-        // path to a single-operation commit, which is the point: batch
-        // size never multiplies syncs.
-        self.commit(txn)
-    }
-
     /// Commit: append the commit record and sync per the protocol.
     ///
-    /// The transaction leaves the active table — and drops its locks and
-    /// undo information — only after the protocol's durability step
-    /// succeeds. If the append or sync fails, the transaction stays fully
-    /// active, so the caller can retry the commit or abort it; the old code
+    /// The transaction leaves the active table — and drops its undo
+    /// information — only after the protocol's durability step succeeds.
+    /// A batch logged with [`TxnManager::log_batch`] commits the same way:
+    /// one commit record and one protocol step, whatever its size. If the
+    /// append or sync fails, the transaction stays fully active, so the
+    /// caller can retry the commit or abort it; the old code
     /// released everything *before* syncing, leaving a half-committed,
     /// unabortable transaction behind a failed sync.
     pub fn commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
-        if !self.active.contains_key(&txn) {
-            return Err(TxnError::UnknownTxn(txn));
-        }
+        self.check_active(txn)?;
         #[cfg(feature = "obs")]
         let t0 = fame_obs::monotonic_ns();
         self.log.append(&LogRecord::Commit { txn })?;
-        match self.policy {
-            #[cfg(feature = "commit-force")]
-            CommitPolicy::Force => self.log.sync()?,
-            #[cfg(feature = "commit-group")]
-            CommitPolicy::Group { group_size } => {
-                if self.commits_since_sync + 1 >= group_size {
-                    self.log.sync()?;
-                    self.commits_since_sync = 0;
-                } else {
-                    self.commits_since_sync += 1;
-                }
-            }
-        }
+        self.sync_batch()?;
         // Point of no return: the commit record is as durable as the
-        // protocol promises. Now release.
+        // protocol promises.
         self.active.remove(&txn);
-        self.locks.release_all(txn);
         self.committed += 1;
         #[cfg(feature = "obs")]
         self.obs
@@ -388,21 +351,18 @@ impl TxnManager {
     #[cfg(feature = "multi-writer")]
     pub fn append_commits(&mut self, txns: &[TxnId]) -> Result<Lsn, TxnError> {
         for &t in txns {
-            if !self.active.contains_key(&t) {
-                return Err(TxnError::UnknownTxn(t));
-            }
+            self.check_active(t)?;
         }
         let records: Vec<LogRecord> = txns.iter().map(|&txn| LogRecord::Commit { txn }).collect();
         Ok(self.log.append_many(&records)?)
     }
 
-    /// Split commit, phase 2 (MultiWriter group commit): apply the commit
-    /// protocol's durability step for one *drained batch*. The batch counts
-    /// as a single commit toward a `Group` quota — exactly the accounting
-    /// [`TxnManager::commit_batch`] established for write batches — so
-    /// cross-transaction grouping amortizes syncs as writers rise instead
-    /// of being defeated by them. Returns whether a sync was issued.
-    #[cfg(feature = "multi-writer")]
+    /// The commit protocol's durability step, once per commit: one
+    /// [`TxnManager::commit`] (whatever its write-batch size), or one
+    /// *drained batch* of a MultiWriter group commit (split commit, phase
+    /// 2). Either counts as a single commit toward a `Group` quota, so
+    /// grouping amortizes syncs as batches or writers grow instead of being
+    /// defeated by them. Returns whether a sync was issued.
     pub fn sync_batch(&mut self) -> Result<bool, TxnError> {
         match self.policy {
             #[cfg(feature = "commit-force")]
@@ -426,13 +386,12 @@ impl TxnManager {
 
     /// Split commit, phase 3 (MultiWriter group commit): the point of no
     /// return for one transaction of a durable batch — leave the active
-    /// table, release internal locks, count the commit.
+    /// table, count the commit.
     #[cfg(feature = "multi-writer")]
     pub fn finish_commit(&mut self, txn: TxnId) -> Result<(), TxnError> {
         if self.active.remove(&txn).is_none() {
             return Err(TxnError::UnknownTxn(txn));
         }
-        self.locks.release_all(txn);
         self.committed += 1;
         Ok(())
     }
@@ -442,7 +401,6 @@ impl TxnManager {
     pub fn abort(&mut self, txn: TxnId) -> Result<Vec<UndoAction>, TxnError> {
         let state = self.active.remove(&txn).ok_or(TxnError::UnknownTxn(txn))?;
         self.log.append(&LogRecord::Abort { txn })?;
-        self.locks.release_all(txn);
         self.aborted += 1;
         let mut undo = state.undo;
         undo.reverse();
@@ -589,38 +547,6 @@ mod tests {
 
     #[cfg(feature = "commit-force")]
     #[test]
-    fn write_conflict_between_transactions() {
-        let mut m = manager(CommitPolicy::Force);
-        let t1 = m.begin().unwrap();
-        let t2 = m.begin().unwrap();
-        m.log_put(t1, 0, b"k", None, b"v1").unwrap();
-        assert!(matches!(
-            m.log_put(t2, 0, b"k", None, b"v2"),
-            Err(TxnError::Conflict(_))
-        ));
-        // After t1 commits, t2 can proceed.
-        m.commit(t1).unwrap();
-        m.log_put(t2, 0, b"k", Some(b"v1".to_vec()), b"v2").unwrap();
-        m.commit(t2).unwrap();
-    }
-
-    #[cfg(feature = "commit-force")]
-    #[test]
-    fn readers_share_then_block_writer() {
-        let mut m = manager(CommitPolicy::Force);
-        let t1 = m.begin().unwrap();
-        let t2 = m.begin().unwrap();
-        m.lock_read(t1, b"k").unwrap();
-        m.lock_read(t2, b"k").unwrap();
-        let t3 = m.begin().unwrap();
-        assert!(matches!(
-            m.log_put(t3, 0, b"k", None, b"v"),
-            Err(TxnError::Conflict(_))
-        ));
-    }
-
-    #[cfg(feature = "commit-force")]
-    #[test]
     fn failed_commit_sync_keeps_txn_active_and_retriable() {
         use fame_os::{FaultDevice, FaultPlan, SharedDevice};
         let plan = FaultPlan {
@@ -637,21 +563,13 @@ mod tests {
         assert!(m.commit(t).is_err(), "sync fails");
 
         // The transaction must still be fully active: in the table, not
-        // counted committed, lock still held.
+        // counted committed.
         assert_eq!(m.active(), vec![t]);
         assert_eq!(m.stats(), (0, 0));
 
-        // Once the device recovers: the lock is still held against other
-        // transactions, and the commit can be retried (roll forward).
+        // Once the device recovers, the commit can be retried (roll
+        // forward).
         handle.with(|d| d.heal());
-        let t2 = m.begin().unwrap();
-        assert!(
-            matches!(
-                m.log_put(t2, 0, b"k", None, b"x"),
-                Err(TxnError::Conflict(_))
-            ),
-            "t still holds its exclusive lock after the failed commit"
-        );
         m.commit(t).unwrap();
         assert!(!m.active().contains(&t));
         assert_eq!(m.stats(), (1, 0));
@@ -713,7 +631,7 @@ mod tests {
             let mut m = manager(CommitPolicy::Force);
             let t = m.begin().unwrap();
             m.log_batch(t, &batch(n)).unwrap();
-            m.commit_batch(t).unwrap();
+            m.commit(t).unwrap();
             assert_eq!(m.log_device_stats().syncs, 1, "batch of {n}: one sync");
             assert_eq!(m.stats(), (1, 0));
             assert!(m.active().is_empty());
@@ -727,31 +645,12 @@ mod tests {
         for _ in 0..8 {
             let t = m.begin().unwrap();
             m.log_batch(t, &batch(16)).unwrap();
-            m.commit_batch(t).unwrap();
+            m.commit(t).unwrap();
         }
         assert_eq!(
             m.log_device_stats().syncs,
             2,
             "8 batches / group of 4, independent of the 16 ops per batch"
-        );
-    }
-
-    #[cfg(feature = "commit-force")]
-    #[test]
-    fn batch_conflict_fails_before_logging_anything() {
-        let mut m = manager(CommitPolicy::Force);
-        let t1 = m.begin().unwrap();
-        m.log_put(t1, 0, b"bk2", None, b"v").unwrap();
-        let t2 = m.begin().unwrap();
-        let bytes_before = m.log_bytes();
-        assert!(matches!(
-            m.log_batch(t2, &batch(4)),
-            Err(TxnError::Conflict(_))
-        ));
-        assert_eq!(
-            m.log_bytes(),
-            bytes_before,
-            "a conflicting batch logs no records"
         );
     }
 
@@ -806,7 +705,7 @@ mod tests {
         let mut b = manager(CommitPolicy::Force);
         let t = b.begin().unwrap();
         b.log_batch(t, &ops).unwrap();
-        b.commit_batch(t).unwrap();
+        b.commit(t).unwrap();
 
         let (ra, _) = LogReader::new(a.into_log().into_device())
             .read_all()

@@ -4,13 +4,17 @@
 //!
 //! # Architecture
 //!
-//! [`SharedTxnManager`] wraps the single-writer [`TxnManager`] in a mutex
-//! and composes two concurrency mechanisms around it:
+//! [`SharedTxnManager`] wraps a [`TxnManager`] (transaction table, WAL,
+//! commit protocol; it takes no locks itself) in a mutex and composes two
+//! concurrency mechanisms around it:
 //!
 //! * a blocking [`LockTable`] (S/X block locks, FIFO queues, timeout,
-//!   deadlock-abort-youngest) acquired **before** any storage or manager
-//!   mutex, so conflicting transactions serialize by waiting while
-//!   disjoint ones interleave freely;
+//!   deadlock detection that aborts the requester whose wait would close
+//!   a cycle) acquired **before** any storage or manager mutex, so
+//!   conflicting transactions serialize by waiting while disjoint ones
+//!   interleave freely. It is the product's only lock manager: each key is
+//!   locked once, here, and the single-writer no-wait
+//!   [`LockManager`](crate::locks::LockManager) is not used;
 //! * a leader-based **group commit**: committers enqueue their `TxnId` and
 //!   the first one in becomes leader, draining the queue into one
 //!   [`TxnManager::append_commits`] (a single `append_many` device pass)
@@ -23,12 +27,7 @@
 //! 1. **Lock order**: `LockTable` → storage mutex → manager mutex. The
 //!    group-state mutex is held only while queueing/collecting, never
 //!    across the drain (the leader drops it before touching the manager).
-//! 2. **Grant superset**: the inner no-wait [`LockManager`](crate::locks)
-//!    stays active as a safety net; because every key's `LockTable` block
-//!    lock is taken first and released last, the no-wait acquire inside
-//!    `log_*` can never see a conflict from a live transaction — the
-//!    blocking table's grant set is a superset of the inner one's.
-//! 3. **Failed drains leave every transaction active**: if the leader's
+//! 2. **Failed drains leave every transaction active**: if the leader's
 //!    append or sync fails, no transaction in the batch is finished,
 //!    all locks stay held, and each committer gets an error
 //!    ([`TxnError::GroupCommit`] for followers) so it can retry or abort.
@@ -40,7 +39,7 @@ use std::time::Duration;
 use crate::lock_table::LockTable;
 use crate::locks::LockMode;
 use crate::log::Lsn;
-use crate::manager::{BatchWrite, TxnError, TxnManager, UndoAction};
+use crate::manager::{TxnError, TxnManager, UndoAction};
 use crate::wal::TxnId;
 
 /// Version-install callback (Snapshot feature): `(drained batch,
@@ -164,7 +163,7 @@ impl SharedTxnManager {
     /// Block until `txn` holds the shared block lock for `key`.
     pub fn lock_read(&self, txn: TxnId, key: &[u8]) -> Result<(), TxnError> {
         self.locks.acquire(txn, key, LockMode::Shared)?;
-        self.inner().lock_read(txn, key)
+        Ok(())
     }
 
     /// Block until `txn` holds the exclusive block lock for `key`. Call
@@ -176,8 +175,7 @@ impl SharedTxnManager {
     }
 
     /// Log a put (WAL rule: before the storage apply). The caller must
-    /// hold the exclusive block lock via [`SharedTxnManager::lock_write`];
-    /// the inner no-wait acquire then cannot conflict (invariant 2).
+    /// hold the exclusive block lock via [`SharedTxnManager::lock_write`].
     pub fn log_put(
         &self,
         txn: TxnId,
@@ -199,14 +197,6 @@ impl SharedTxnManager {
         old: Vec<u8>,
     ) -> Result<Lsn, TxnError> {
         self.inner().log_remove(txn, index, key, old)
-    }
-
-    /// Block-lock every key of a batch, then log it in one device pass.
-    pub fn log_batch(&self, txn: TxnId, ops: &[BatchWrite]) -> Result<Lsn, TxnError> {
-        for op in ops {
-            self.locks.acquire(txn, op.key(), LockMode::Exclusive)?;
-        }
-        self.inner().log_batch(txn, ops)
     }
 
     /// Commit through the group channel. The first committer to arrive
@@ -389,6 +379,7 @@ impl std::fmt::Debug for SharedTxnManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lock_table::LockError;
     use crate::log::LogWriter;
     use crate::manager::CommitPolicy;
     use fame_os::InMemoryDevice;
@@ -565,17 +556,22 @@ mod tests {
         m.lock_write(t2, b"b").unwrap();
         let m2 = Arc::clone(&m);
         let h = std::thread::spawn(move || m2.lock_write(t2, b"a"));
-        std::thread::sleep(Duration::from_millis(30));
-        // t1 closes the cycle; t2 (youngest) gets the deadlock error.
-        let m1 = Arc::clone(&m);
-        let h1 = std::thread::spawn(move || m1.lock_write(t1, b"b"));
-        assert!(matches!(h.join().unwrap(), Err(TxnError::Lock(_))));
-        let undo = m.abort(t2).unwrap();
+        while !m.lock_table().waiters(b"a").contains(&t2) {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        // t1's request for b closes the cycle: t1, the requester, gets the
+        // deadlock error while t2 keeps waiting.
+        let err = m.lock_write(t1, b"b").unwrap_err();
+        assert!(
+            matches!(err, TxnError::Lock(LockError::Deadlock { requester, .. }) if requester == t1),
+            "got {err:?}"
+        );
+        let undo = m.abort(t1).unwrap();
         assert!(undo.is_empty());
-        m.release_locks(t2);
-        h1.join().unwrap().unwrap();
-        m.log_put(t1, 0, b"b", None, b"v").unwrap();
-        m.commit(t1).unwrap();
+        m.release_locks(t1);
+        h.join().unwrap().unwrap();
+        m.log_put(t2, 0, b"a", None, b"v").unwrap();
+        m.commit(t2).unwrap();
         assert_eq!(m.stats(), (1, 1));
     }
 }
