@@ -39,6 +39,9 @@ cargo build --release --workspace
 echo "== test"
 cargo test -q --workspace
 
+echo "== benchmark exact-count self-check (pool, device and pager counts repeat across runs)"
+cargo test --release -q --manifest-path perfbench/Cargo.toml
+
 echo "== fame-lint self-run + E11 seeded-defect corpus (gate: violations fail, warnings pass)"
 # A faster variant for local iteration skips only the corpus, never the
 # self-run:  cargo run --release -p fame-lint --bin lint_report -- --quick

@@ -11,7 +11,7 @@
 //! * an append-only **frame arena** whose chunks are published through
 //!   `OnceLock`, so a frame's address is stable for the pool's lifetime
 //!   and readers may hold references without holding the shard latch;
-//! * the latched **core** (authoritative `HashMap`, free list, allocator)
+//! * the latched **core** (authoritative `PageMap`, free list, allocator)
 //!   behind a `parking_lot::RwLock`, used by misses and mutations only.
 //!
 //! # The seqlock hit protocol
@@ -47,8 +47,10 @@
 //!
 //! # Recency without a global clock
 //!
-//! The exclusive pool's heap-based [`crate::ReplacementPolicy`] objects
-//! need `&mut self` and cannot run latch-free. The shared pool keeps an
+//! The exclusive pool's [`crate::ReplacementPolicy`] objects (LRU's
+//! linked recency list, LFU's lazy heap, Clock's reference bits) mutate
+//! shared structure on every access, need `&mut self`, and cannot run
+//! latch-free. The shared pool keeps an
 //! `AtomicU64` recency stamp and access count per frame and derives the
 //! victim at eviction time: minimum stamp for LRU/Clock, minimum
 //! `(count, stamp)` for LFU. The tick source is a **per-shard** clock
@@ -61,7 +63,6 @@
 //! summed into [`SharedBufferPool::stats`] on demand.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::sync::atomic::Ordering::{Acquire, Relaxed, Release};
 use std::sync::atomic::{fence, AtomicBool, AtomicU64};
 use std::sync::{Arc, OnceLock};
@@ -69,6 +70,7 @@ use std::sync::{Arc, OnceLock};
 use fame_os::{AllocPolicy, BlockDevice, DeviceStats, FrameAllocator, OsError, PageId};
 use parking_lot::RwLock;
 
+use crate::pool::{PageMap, FIBONACCI};
 use crate::replacement::ReplacementKind;
 #[cfg(feature = "obs")]
 use crate::stats::Counter;
@@ -233,7 +235,7 @@ impl SharedFrame {
 /// probing. All *mutation* happens under the shard write latch (so writers
 /// never race each other); readers probe latch-free and treat everything
 /// they find as a hint to be confirmed against the frame's tag and
-/// version. The latched `HashMap` stays authoritative — a full table
+/// version. The latched `PageMap` stays authoritative — a full table
 /// silently skips inserts and those pages are simply served by the
 /// latched path. (The Snapshot feature's version directory reuses this
 /// type with its own authoritative map, hence the crate visibility.)
@@ -273,7 +275,7 @@ impl PageTable {
     fn bucket(&self, page: PageId) -> usize {
         // Fibonacci hashing spreads the low page bits (the shard mask
         // already consumed them).
-        ((page as u64).wrapping_mul(0x9E3779B97F4A7C15) >> 32) as usize & self.mask
+        ((page as u64).wrapping_mul(FIBONACCI) >> 32) as usize & self.mask
     }
 
     /// Latch-free probe. The result is a hint: the frame must still be
@@ -425,7 +427,7 @@ impl ShardHot {
 /// The latched remainder of a shard: authoritative page map, free list,
 /// allocator, and the in-use prefix length of the arena.
 struct ShardCore {
-    map: HashMap<PageId, usize>,
+    map: PageMap<usize>,
     free: Vec<usize>,
     allocator: FrameAllocator,
     /// Frames materialized in the arena (`0..len` are valid indices).
@@ -573,7 +575,7 @@ impl SharedBufferPool {
             }
             vec.push(CachedShard {
                 core: RwLock::new(ShardCore {
-                    map: HashMap::new(),
+                    map: PageMap::default(),
                     free: (0..prealloc).rev().collect(),
                     allocator,
                     len: prealloc,

@@ -37,6 +37,11 @@ mod local {
         }
 
         #[inline]
+        pub fn bump(&mut self) {
+            *self.0.get_mut() += 1;
+        }
+
+        #[inline]
         pub fn get(&self) -> u64 {
             self.0.load(Ordering::Relaxed)
         }
@@ -77,10 +82,11 @@ impl PoolStats {
     }
 }
 
-/// The live counters both pool representations report through. All
+/// The live counters both pool representations report through. Shared
 /// updates are relaxed atomics: a concurrent [`AtomicPoolStats::snapshot`]
 /// sees values at most an instant stale, never torn, and — because the
-/// counters only grow — never decreasing across repeated snapshots.
+/// counters only grow — never decreasing across repeated snapshots. The
+/// exclusive pool owns its counters and uses `Counter::bump` instead.
 #[derive(Debug, Default)]
 pub struct AtomicPoolStats {
     pub hits: Counter,

@@ -66,6 +66,7 @@ use std::sync::OnceLock;
 use fame_os::{OsError, PageId};
 use parking_lot::Mutex;
 
+use crate::pool::PageMap;
 use crate::shared::PageTable;
 
 /// Default bound on a page's version-chain length.
@@ -170,7 +171,7 @@ impl MetaDir {
 /// Authoritative page → meta directory (behind `alloc`); the lock-free
 /// [`PageTable`] in front of it is a hint for the latch-free lookup.
 struct VersionAlloc {
-    map: HashMap<PageId, usize>,
+    map: PageMap<usize>,
     len: usize,
 }
 
@@ -223,7 +224,7 @@ impl VersionStore {
             saturated: AtomicBool::new(false),
             dir: MetaDir::new(),
             alloc: Mutex::new(VersionAlloc {
-                map: HashMap::new(),
+                map: PageMap::default(),
                 len: 0,
             }),
             writes: Mutex::new(HashMap::new()),

@@ -30,6 +30,13 @@ impl Counter {
         self.0.fetch_add(n, Ordering::Relaxed);
     }
 
+    /// Add one through an exclusive borrow: a plain add, no atomic
+    /// read-modify-write. Readers through `&self` still see every bump.
+    #[inline]
+    pub fn bump(&mut self) {
+        *self.0.get_mut() += 1;
+    }
+
     /// Current value.
     #[inline]
     pub fn get(&self) -> u64 {
@@ -74,6 +81,18 @@ mod tests {
             t.join().unwrap();
         }
         assert_eq!(c.get(), 40_000);
+    }
+
+    #[test]
+    fn bump_adds_one_and_mixes_with_shared_adds() {
+        let mut c = Counter::new();
+        for _ in 0..1_000 {
+            c.bump();
+        }
+        c.add(5);
+        c.bump();
+        c.inc();
+        assert_eq!(c.get(), 1_007);
     }
 
     #[test]

@@ -66,6 +66,7 @@ impl MetaCache {
 /// Statistics feature: logical pager operations (distinct from the pool's
 /// hit/miss counters — these count what the access methods *asked for*,
 /// not how the cache served it).
+/// The pager owns them, so every count is a `bump` through `&mut self`.
 #[cfg(feature = "obs")]
 #[derive(Debug, Default)]
 pub struct PagerOps {
@@ -189,7 +190,7 @@ impl Pager {
     /// The returned page's contents are unspecified; callers initialize it.
     pub fn allocate(&mut self) -> Result<PageId> {
         #[cfg(feature = "obs")]
-        self.ops.allocs.inc();
+        self.ops.allocs.bump();
         let head = self.meta.free_head;
         if head != NO_PAGE {
             let next = self.pool.with_page(head, |buf| {
@@ -213,7 +214,7 @@ impl Pager {
     pub fn free(&mut self, page: PageId) -> Result<()> {
         debug_assert_ne!(page, 0, "meta page cannot be freed");
         #[cfg(feature = "obs")]
-        self.ops.frees.inc();
+        self.ops.frees.bump();
         let head = self.meta.free_head;
         self.pool.with_page_mut(page, |buf| {
             let mut pg = SlottedPage::init(buf, PageType::Free);
@@ -243,14 +244,14 @@ impl Pager {
     /// Run `f` over an immutable page view.
     pub fn with_page<R>(&mut self, page: PageId, f: impl FnOnce(&[u8]) -> R) -> Result<R> {
         #[cfg(feature = "obs")]
-        self.ops.page_reads.inc();
+        self.ops.page_reads.bump();
         Ok(self.pool.with_page(page, f)?)
     }
 
     /// Run `f` over a mutable page view (marks the page dirty).
     pub fn with_page_mut<R>(&mut self, page: PageId, f: impl FnOnce(&mut [u8]) -> R) -> Result<R> {
         #[cfg(feature = "obs")]
-        self.ops.page_writes.inc();
+        self.ops.page_writes.bump();
         Ok(self.pool.with_page_mut(page, f)?)
     }
 
