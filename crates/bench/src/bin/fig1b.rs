@@ -122,17 +122,18 @@ fn main() {
         "Mio queries/s (unused)",
         "Mio queries/s (active)",
         "Kio writes/s (unused)",
+        "pool miss % (queries)",
         "records",
     ]);
 
     let mut flat_band: Vec<f64> = Vec::new();
     for rc in runtime_configs() {
-        let (qps_unused, wps_unused) = run_config(&rc, false);
+        let (qps_unused, wps_unused, miss_ratio) = run_config(&rc, false);
         // Series B — extension: the same configurations with their
         // features actually *exercised* (crypto decrypting every page
         // miss, replication shipping every write). This quantifies what
         // using a feature costs — the reason tailoring products matters.
-        let (qps_active, _) = run_config(&rc, true);
+        let (qps_active, _, _) = run_config(&rc, true);
         if rc.number <= 7 {
             flat_band.push(qps_unused);
         }
@@ -142,14 +143,17 @@ fn main() {
             format!("{:.3}", qps_unused / 1e6),
             format!("{:.3}", qps_active / 1e6),
             format!("{:.1}", wps_unused / 1e3),
+            format!("{:.1}", miss_ratio * 100.0),
             rc.records.to_string(),
         ]);
         println!(
-            "  config {}: {:.3} Mio q/s unused, {:.3} Mio q/s active, {:.1} Kio w/s ({})",
+            "  config {}: {:.3} Mio q/s unused, {:.3} Mio q/s active, {:.1} Kio w/s, \
+             {:.1} % pool misses ({})",
             rc.number,
             qps_unused / 1e6,
             qps_active / 1e6,
             wps_unused / 1e3,
+            miss_ratio * 100.0,
             rc.description
         );
     }
@@ -176,7 +180,9 @@ fn main() {
     println!("results written to bench-results/fig1b.tsv");
 }
 
-fn run_config(rc: &RuntimeConfig, activate_features: bool) -> (f64, f64) {
+/// Runs one configuration: returns queries/s, writes/s and the share of
+/// the query phase's page accesses that missed the buffer pool.
+fn run_config(rc: &RuntimeConfig, activate_features: bool) -> (f64, f64, f64) {
     let mut config = DbmsConfig::in_memory();
     config.page_size = 512;
     config.index = match rc.index {
@@ -227,6 +233,7 @@ fn run_config(rc: &RuntimeConfig, activate_features: bool) -> (f64, f64) {
     } else {
         QUERIES
     };
+    let before = db.pool_stats();
     let start = Instant::now();
     let mut found = 0u32;
     for _ in 0..queries {
@@ -242,7 +249,10 @@ fn run_config(rc: &RuntimeConfig, activate_features: bool) -> (f64, f64) {
     }
     let elapsed = start.elapsed().as_secs_f64();
     assert_eq!(found, queries, "every sampled key exists");
+    let after = db.pool_stats();
+    let misses = after.misses - before.misses;
+    let accesses = misses + after.hits - before.hits;
 
     let qps = f64::from(queries) / elapsed;
-    (qps, writes_per_s)
+    (qps, writes_per_s, misses as f64 / accesses.max(1) as f64)
 }

@@ -19,7 +19,9 @@
 //! * the version-chain high-water stays ≤ the configured cap and pruning
 //!   reclaims versions (`pruned > 0` once readers lag writers);
 //! * after every handle drops, zero snapshots and zero chain entries
-//!   remain registered — no version-memory leak.
+//!   remain registered — no version-memory leak;
+//! * no contended cell aborts a lock wait on the timeout — with deadlock
+//!   detection live, a timeout means a cycle went unbroken.
 //!
 //! Concurrency-dependent gates follow the E8/E12 core-count convention
 //! (single-core hosts print SKIP): reader throughput with 8 writers must
@@ -54,6 +56,7 @@ struct Run {
     reader_hits: u64,
     strandings: u64,
     deadlock_aborts: u64,
+    timeout_aborts: u64,
     chain_max: u64,
 }
 
@@ -174,7 +177,7 @@ fn run_mixed(writers: usize, readers: usize, quick: bool) -> Run {
     let txns = per_writer * writers as u32;
     let writer0 = db.writer().expect("MultiWriter configured");
     seed(&writer0);
-    let deadlocks0 = lock_aborts(&mut db).0;
+    let (deadlocks0, timeouts0, _) = lock_aborts(&mut db);
 
     let stop = AtomicBool::new(false);
     let start = Instant::now();
@@ -218,7 +221,8 @@ fn run_mixed(writers: usize, readers: usize, quick: bool) -> Run {
         "chain entries survived the last snapshot"
     );
     let chain_max = v.chain_max;
-    let deadlock_aborts = lock_aborts(&mut db).0 - deadlocks0;
+    let (deadlocks1, timeouts1, _) = lock_aborts(&mut db);
+    let (deadlock_aborts, timeout_aborts) = (deadlocks1 - deadlocks0, timeouts1 - timeouts0);
 
     drop(db);
     let _ = std::fs::remove_file(&path);
@@ -232,6 +236,7 @@ fn run_mixed(writers: usize, readers: usize, quick: bool) -> Run {
         reader_hits,
         strandings,
         deadlock_aborts,
+        timeout_aborts,
         chain_max,
     }
 }
@@ -298,10 +303,11 @@ fn main() {
     // Phase 2 — writer-only baseline for the deadlock comparison.
     let writer_only = run_mixed(*WRITERS.last().unwrap(), 0, quick);
     println!(
-        "  writer-only  {}W: {:>8.0} txns/s  {} deadlock aborts",
+        "  writer-only  {}W: {:>8.0} txns/s  {} deadlock aborts  {} timeout aborts",
         writer_only.writers,
         writer_only.txns_per_s(),
         writer_only.deadlock_aborts,
+        writer_only.timeout_aborts,
     );
 
     // Phase 3 — the mixed cells.
@@ -312,6 +318,7 @@ fn main() {
         "reader gets/s",
         "strandings",
         "deadlock aborts",
+        "timeout aborts",
         "chain max",
     ]);
     let mut runs: Vec<Run> = Vec::new();
@@ -319,11 +326,12 @@ fn main() {
         let r = run_mixed(writers, READERS, quick);
         println!(
             "  mixed  {writers}W+{READERS}R: {:>8.0} txns/s  {:>9.0} reader gets/s  \
-             {} strandings  {} deadlock aborts  chain max {}",
+             {} strandings  {} deadlock aborts  {} timeout aborts  chain max {}",
             r.txns_per_s(),
             r.gets_per_s(),
             r.strandings,
             r.deadlock_aborts,
+            r.timeout_aborts,
             r.chain_max,
         );
         table.row([
@@ -333,6 +341,7 @@ fn main() {
             format!("{:.0}", r.gets_per_s()),
             r.strandings.to_string(),
             r.deadlock_aborts.to_string(),
+            r.timeout_aborts.to_string(),
             r.chain_max.to_string(),
         ]);
         runs.push(r);
@@ -348,6 +357,13 @@ fn main() {
     // drain are asserted inside run_mixed; reader hits mean the versioned
     // descent found every seeded key through the churn.
     let cap = DbmsConfig::default_for_build().snapshot_chain_cap as u64;
+    for r in std::iter::once(&writer_only).chain(&runs) {
+        assert_eq!(
+            r.timeout_aborts, 0,
+            "{}W: {} lock timeouts — a deadlock cycle went undetected",
+            r.writers, r.timeout_aborts
+        );
+    }
     for r in &runs {
         assert!(
             r.chain_max <= cap,
@@ -361,7 +377,10 @@ fn main() {
             r.writers
         );
     }
-    println!("\ndeterministic gates passed (0 reader lock waits, chain max <= {cap}, registries drained)");
+    println!(
+        "\ndeterministic gates passed (0 reader lock waits, 0 timeout aborts, \
+         chain max <= {cap}, registries drained)"
+    );
 
     // Concurrency-dependent gates: reader independence from writer count
     // needs the writers actually running in parallel.

@@ -16,9 +16,14 @@
 //! * internal nodes hold `[klen:u16][key][child:u32]` cells; the leftmost
 //!   child lives in the page header's aux field. A separator key `k` points
 //!   to the subtree with keys `>= k`;
-//! * splits redistribute by bytes (variable-length cells), deletions merge
-//!   adjacent same-parent nodes when the result fits in one page, and the
-//!   root collapses when it loses its last separator.
+//! * splits redistribute by bytes (variable-length cells), except an
+//!   append at the tree's right edge: when the cell that overflows a node
+//!   on the right edge (the last leaf, or an internal node reached through
+//!   last children only) sorts after every cell in it, the old node stays
+//!   full and the new right node starts with the appended cell, so sorted
+//!   loads fill their pages instead of leaving them half empty;
+//! * deletions merge adjacent same-parent nodes when the result fits in
+//!   one page, and the root collapses when it loses its last separator.
 
 use fame_os::PageId;
 
@@ -367,7 +372,7 @@ impl BTree {
                 max: Self::max_cell(pager),
             });
         }
-        let (ins, was_new) = self.insert_rec(pager, self.root, key, value)?;
+        let (ins, was_new) = self.insert_rec(pager, self.root, true, key, value)?;
         if let Ins::Split(sep, right) = ins {
             // Grow the tree: new internal root.
             let new_root = pager.allocate()?;
@@ -383,10 +388,13 @@ impl BTree {
         Ok(was_new)
     }
 
+    /// `right_edge`: `page` is reached from the root through last
+    /// children only (the root itself is on the right edge).
     fn insert_rec(
         &mut self,
         pager: &mut Pager,
         page: PageId,
+        right_edge: bool,
         key: &[u8],
         value: &[u8],
     ) -> Result<(Ins, bool)> {
@@ -398,8 +406,12 @@ impl BTree {
             return self.leaf_insert(pager, page, key, value);
         }
 
-        let (child, _) = pager.with_page(page, |buf| descend_child(&PageView::new(buf), key))?;
-        let (ins, was_new) = self.insert_rec(pager, child, key, value)?;
+        let (child, child_right_edge) = pager.with_page(page, |buf| {
+            let view = PageView::new(buf);
+            let (child, idx) = descend_child(&view, key);
+            (child, right_edge && is_last_child(&view, idx))
+        })?;
+        let (ins, was_new) = self.insert_rec(pager, child, child_right_edge, key, value)?;
         let Ins::Split(sep, right) = ins else {
             return Ok((Ins::Fit, was_new));
         };
@@ -417,7 +429,7 @@ impl BTree {
         if fit {
             return Ok((Ins::Fit, was_new));
         }
-        let split = self.split_internal(pager, page, &sep, right)?;
+        let split = self.split_internal(pager, page, right_edge, &sep, right)?;
         Ok((split, was_new))
     }
 
@@ -487,9 +499,12 @@ impl BTree {
             cells.get(pos).map(|c| cell_key(c) != key).unwrap_or(true),
             "key must be absent before split-insert"
         );
+        let append = next.is_none() && pos == cells.len();
         cells.insert(pos, leaf_cell(key, value));
 
-        let split_at = split_point(&cells);
+        // An append to the last leaf keeps the old leaf full; every other
+        // split balances the halves by bytes.
+        let split_at = if append { pos } else { split_point(&cells) };
         let right_cells = cells.split_off(split_at);
         let sep = cell_key(&right_cells[0]).to_vec();
 
@@ -508,10 +523,13 @@ impl BTree {
     }
 
     /// Split a full internal node while adding `(sep_new, right_new)`.
+    /// `right_edge`: `page` is reached from the root through last
+    /// children only.
     fn split_internal(
         &mut self,
         pager: &mut Pager,
         page: PageId,
+        right_edge: bool,
         sep_new: &[u8],
         right_new: PageId,
     ) -> Result<Ins> {
@@ -523,9 +541,17 @@ impl BTree {
         let pos = cells
             .binary_search_by(|c| cell_key(c).cmp(sep_new))
             .unwrap_or_else(|e| e);
+        let append = right_edge && pos == cells.len();
         cells.insert(pos, int_cell(sep_new, right_new));
 
-        let mid = split_point(&cells).clamp(1, cells.len() - 1);
+        // An append on the right edge promotes the old last separator, so
+        // the right node keeps just the new one; every other split
+        // balances the halves by bytes.
+        let mid = if append {
+            pos - 1
+        } else {
+            split_point(&cells).clamp(1, cells.len() - 1)
+        };
         let mut right_cells = cells.split_off(mid);
         let promoted = right_cells.remove(0);
         let promoted_key = cell_key(&promoted).to_vec();
@@ -689,7 +715,8 @@ impl BTree {
                 ins = if fit {
                     Ins::Fit
                 } else {
-                    self.split_internal(pager, parent, &sep, right)?
+                    let right_edge = path[level].upper.is_none();
+                    self.split_internal(pager, parent, right_edge, &sep, right)?
                 };
             }
             let _ = ins;
@@ -961,6 +988,15 @@ impl Cursor {
                 },
             }
         }
+    }
+}
+
+/// Is the child chosen by [`descend_child`] (cell `idx`, `None` for the
+/// leftmost) the node's last child?
+fn is_last_child(view: &PageView<'_>, idx: Option<usize>) -> bool {
+    match idx {
+        None => view.slot_count() == 0,
+        Some(i) => i + 1 == view.slot_count(),
     }
 }
 
@@ -1345,6 +1381,186 @@ mod tests {
             .map(|(k, _)| u32::from_be_bytes(k[..4].try_into().unwrap()))
             .collect();
         assert_eq!(keys, [1, 3, 5, 7, 9]);
+    }
+
+    // ---- right-edge splits ---------------------------------------------------
+
+    /// The benchmark's record shape: 4-byte big-endian keys, 16-byte values.
+    fn rec(i: u32) -> ([u8; 4], [u8; 16]) {
+        (i.to_be_bytes(), [i as u8; 16])
+    }
+
+    /// A node's cell count, its fill (cell and slot bytes over capacity)
+    /// and its next page.
+    fn node_fill(pg: &mut Pager, page: PageId) -> (usize, f64, Option<PageId>) {
+        let capacity = (pg.page_size() - PAGE_HEADER_SIZE) as f64;
+        pg.with_page(page, |buf| {
+            let v = PageView::new(buf);
+            let fill = 1.0 - v.total_free() as f64 / capacity;
+            (v.slot_count(), fill, v.next_page())
+        })
+        .unwrap()
+    }
+
+    /// The fill of every leaf, in key order.
+    fn leaf_fills(t: &BTree, pg: &mut Pager) -> Vec<f64> {
+        let mut fills = Vec::new();
+        let mut page = Some(t.leftmost_leaf(pg).unwrap());
+        while let Some(p) = page {
+            let (_, fill, next) = node_fill(pg, p);
+            fills.push(fill);
+            page = next;
+        }
+        fills
+    }
+
+    /// Classify the pages allocated since `first_new` (on a tree without
+    /// removes, each one but a new root is the right half of a split).
+    /// Returns how many came from the right-edge rule (the right node
+    /// holds the single appended cell) and asserts that every other one
+    /// came from a byte-midpoint split (the right node holds about half).
+    fn right_edge_splits(t: &BTree, pg: &mut Pager, first_new: PageId) -> usize {
+        let mut fired = 0;
+        for p in first_new..pg.allocated_pages().unwrap() {
+            if p == t.root_page() {
+                continue;
+            }
+            match node_fill(pg, p) {
+                (1, _, _) => fired += 1,
+                (_, fill, _) => assert!((0.4..=0.6).contains(&fill), "page {p}: {fill:.2} full"),
+            }
+        }
+        fired
+    }
+
+    #[test]
+    fn ascending_loads_fill_their_leaves() {
+        const CHUNK: u32 = 4_096;
+        const N: u32 = 3 * CHUNK;
+        let mut pg_loop = pager(512);
+        let mut t_loop = BTree::create(&mut pg_loop, 0).unwrap();
+        let mut fired = 0;
+        for i in 0..N {
+            let (k, v) = rec(i);
+            let first_new = pg_loop.allocated_pages().unwrap();
+            t_loop.insert(&mut pg_loop, &k, &v).unwrap();
+            let new_pages = pg_loop.allocated_pages().unwrap() - first_new;
+            let grew_root = u32::from(t_loop.root_page() >= first_new);
+            let splits = right_edge_splits(&t_loop, &mut pg_loop, first_new);
+            assert_eq!(splits as u32, new_pages - grew_root, "key {i}");
+            fired += splits;
+        }
+        assert!(fired > 0);
+        check_invariants(&t_loop, &mut pg_loop).unwrap();
+
+        let mut pg_batch = pager(512);
+        let mut t_batch = BTree::create(&mut pg_batch, 0).unwrap();
+        for chunk in 0..N / CHUNK {
+            let ops = (chunk * CHUNK..(chunk + 1) * CHUNK)
+                .map(|i| {
+                    let (k, v) = rec(i);
+                    (k.to_vec(), Some(v.to_vec()))
+                })
+                .collect();
+            t_batch.apply_sorted(&mut pg_batch, ops).unwrap();
+        }
+        check_invariants(&t_batch, &mut pg_batch).unwrap();
+
+        for (t, pg) in [(&t_loop, &mut pg_loop), (&t_batch, &mut pg_batch)] {
+            let fills = leaf_fills(t, pg);
+            let (_, full) = fills.split_last().unwrap();
+            for (i, f) in full.iter().enumerate() {
+                assert!(*f >= 0.90, "leaf {i} of {} is {f:.2} full", fills.len());
+            }
+        }
+        // `insert` and `apply_sorted` share the split rule: same tree.
+        assert_eq!(t_loop.root_page(), t_batch.root_page());
+        let pages = pg_loop.allocated_pages().unwrap();
+        assert_eq!(pages, pg_batch.allocated_pages().unwrap());
+        for p in 0..pages {
+            let a = pg_loop.with_page(p, |b| b.to_vec()).unwrap();
+            let b = pg_batch.with_page(p, |b| b.to_vec()).unwrap();
+            assert!(a == b, "page {p} differs");
+        }
+    }
+
+    #[test]
+    fn descending_and_random_loads_split_at_the_midpoint() {
+        const N: u32 = 4_096;
+        let descending: Vec<u32> = (0..N).rev().collect();
+        // Seeded Fisher-Yates shuffle of 0..N.
+        let mut shuffled: Vec<u32> = (0..N).collect();
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for i in (1..shuffled.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            shuffled.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+
+        // 256-byte pages give the random order enough internal splits to
+        // exercise the internal-node rule too.
+        for (order, keys) in [("descending", descending), ("random", shuffled)] {
+            let mut pg = pager(256);
+            let mut t = BTree::create(&mut pg, 0).unwrap();
+            let mut max_so_far = None;
+            for &i in &keys {
+                let (k, v) = rec(i);
+                let first_new = pg.allocated_pages().unwrap();
+                t.insert(&mut pg, &k, &v).unwrap();
+                let appended = max_so_far.is_none_or(|m| i > m);
+                max_so_far = max_so_far.max(Some(i));
+                // Only an append to the whole tree may take the
+                // right-edge rule; every other split is a midpoint one.
+                let fired = right_edge_splits(&t, &mut pg, first_new);
+                assert!(fired == 0 || appended, "{order}: key {i} fired");
+            }
+            check_invariants(&t, &mut pg).unwrap();
+            let fills = leaf_fills(&t, &mut pg);
+            let mean = fills.iter().sum::<f64>() / fills.len() as f64;
+            assert!(mean < 0.9, "{order}: mean leaf fill {mean:.2}");
+        }
+    }
+
+    #[test]
+    fn removes_after_an_ascending_load_collapse_the_tree() {
+        const N: u32 = 4_096;
+        let mut pg = pager(512);
+        let mut t = BTree::create(&mut pg, 0).unwrap();
+        let ops = (0..N)
+            .map(|i| {
+                let (k, v) = rec(i);
+                (k.to_vec(), Some(v.to_vec()))
+            })
+            .collect();
+        t.apply_sorted(&mut pg, ops).unwrap();
+        let is_leaf = |t: &BTree, pg: &mut Pager| {
+            pg.with_page(t.root_page(), |b| {
+                PageView::new(b).page_type() == Some(PageType::BTreeLeaf)
+            })
+            .unwrap()
+        };
+        assert!(!is_leaf(&t, &mut pg), "multi-level tree expected");
+
+        for i in (0..N).step_by(2) {
+            assert!(t.remove(&mut pg, &rec(i).0).unwrap(), "remove {i}");
+        }
+        check_invariants(&t, &mut pg).unwrap();
+        assert_eq!(t.len(&mut pg).unwrap(), N as usize / 2);
+        for i in 0..N {
+            let want = (i % 2 == 1).then(|| rec(i).1.to_vec());
+            assert_eq!(t.get(&mut pg, &rec(i).0).unwrap(), want, "key {i}");
+        }
+
+        for i in (1..N).step_by(2) {
+            assert!(t.remove(&mut pg, &rec(i).0).unwrap(), "remove {i}");
+            if i % 257 == 0 {
+                check_invariants(&t, &mut pg).unwrap();
+            }
+        }
+        check_invariants(&t, &mut pg).unwrap();
+        assert!(t.is_empty(&mut pg).unwrap());
+        assert!(is_leaf(&t, &mut pg), "root collapses to a leaf");
     }
 }
 

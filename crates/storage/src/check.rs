@@ -15,7 +15,8 @@
 //! * **B+-tree** — keys strictly ascending within nodes and bounded by the
 //!   separators above them, uniform leaf depth, child pointers in range,
 //!   slot directories inside the page, and the leaf chain linking the
-//!   leaves in exactly key order;
+//!   leaves in exactly key order (the walk also reports depth and leaf
+//!   fill);
 //! * **list / hash / queue** — chains terminate without cycles, cells
 //!   parse, directory pointers stay in range.
 //!
@@ -62,6 +63,9 @@ pub struct IntegrityReport {
     pub leaked_pages: u32,
     /// Depth of the primary B+-tree, when one is rooted.
     pub btree_depth: Option<usize>,
+    /// Leaf fill of the primary B+-tree: cell and slot bytes over the
+    /// capacity of its reachable leaves, in `0.0..=1.0`.
+    pub btree_leaf_fill: Option<f64>,
     /// Every invariant found violated.
     pub violations: Vec<Violation>,
 }
@@ -83,6 +87,9 @@ impl std::fmt::Display for IntegrityReport {
         if let Some(d) = self.btree_depth {
             write!(f, ", btree depth {d}")?;
         }
+        if let Some(fill) = self.btree_leaf_fill {
+            write!(f, ", leaf fill {:.0}%", 100.0 * fill)?;
+        }
         if self.is_ok() {
             write!(f, "; OK")
         } else {
@@ -103,6 +110,8 @@ struct Checker {
     reachable: std::collections::BTreeSet<PageId>,
     /// Depths at which B+-tree leaves were found.
     leaf_depths: std::collections::BTreeSet<usize>,
+    /// Cell and slot bytes of the B+-tree leaves found.
+    leaf_bytes: usize,
 }
 
 impl Checker {
@@ -254,6 +263,7 @@ fn check_btree(
     match ty {
         Some(PageType::BTreeLeaf) => {
             ck.leaf_depths.insert(depth);
+            ck.leaf_bytes += slots.iter().map(|&(_, len)| len + 4).sum::<usize>();
             leaves.push((page, next_page(&buf)));
         }
         Some(PageType::BTreeInternal) => {
@@ -419,6 +429,7 @@ pub fn check_pager(pager: &mut Pager) -> Result<IntegrityReport> {
         report: IntegrityReport::default(),
         reachable: std::collections::BTreeSet::new(),
         leaf_depths: std::collections::BTreeSet::new(),
+        leaf_bytes: 0,
     };
 
     // -- meta page sanity ---------------------------------------------------
@@ -476,6 +487,10 @@ pub fn check_pager(pager: &mut Pager) -> Result<IntegrityReport> {
                 }
                 ck.report.btree_depth = ck.leaf_depths.iter().next().copied();
                 ck.leaf_depths.clear();
+                let capacity = leaves.len() * (page_size - PAGE_HEADER_SIZE);
+                ck.report.btree_leaf_fill =
+                    (capacity > 0).then(|| ck.leaf_bytes as f64 / capacity as f64);
+                ck.leaf_bytes = 0;
                 // The leaf chain must link the leaves in exactly key order.
                 for w in leaves.windows(2) {
                     if w[0].1 != Some(w[1].0) {
@@ -598,6 +613,29 @@ mod tests {
         assert!(r.is_ok(), "{r}");
         assert!(r.btree_depth.unwrap_or(0) >= 1, "multi-level tree expected");
         assert!(r.reachable_pages > 1);
+    }
+
+    #[cfg(feature = "btree")]
+    #[test]
+    fn btree_leaf_fill_reported() {
+        let fill = |keys: &mut dyn Iterator<Item = u32>| {
+            let mut p = pager();
+            let mut t = crate::BTree::create(&mut p, 0).unwrap();
+            for i in keys {
+                t.insert(&mut p, &i.to_be_bytes(), &[7u8; 16]).unwrap();
+            }
+            let r = check_pager(&mut p).unwrap();
+            assert!(r.is_ok(), "{r}");
+            (r.btree_leaf_fill.unwrap(), r.to_string())
+        };
+        // An ascending load fills its leaves (each cell is 22 bytes plus a
+        // 4-byte slot; nine fill 234 of a 256-byte page's 240).
+        let (ascending, shown) = fill(&mut (0u32..200));
+        assert!(ascending >= 0.9, "{shown}");
+        assert!(shown.ends_with(&format!("leaf fill {:.0}%; OK", 100.0 * ascending)));
+        // A descending load splits at the byte midpoint: half-empty leaves.
+        let (descending, shown) = fill(&mut (0u32..200).rev());
+        assert!((0.4..0.7).contains(&descending), "{shown}");
     }
 
     #[cfg(feature = "btree")]
